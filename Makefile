@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-store bench-daemon compare-bench
+.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-store bench-daemon bench-cost-model compare-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,6 +48,9 @@ bench-store:
 
 bench-daemon:
 	$(PYTHON) -m pytest benchmarks/bench_daemon.py -q -s
+
+bench-cost-model:
+	$(PYTHON) -m pytest benchmarks/bench_cost_model.py -q -s
 
 # Diff the latest BENCH_*.json telemetry against benchmarks/bench_baseline.json
 # (exit non-zero on regressions beyond the tolerance; CI runs it as a hard gate).

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
 from repro.gpusim import GTX_1080TI, V100
+
+# Benchmarks gate on the test-suite's reference implementations
+# (tests/cost_model_oracle.py).  Appended, so nothing here is shadowed.
+_TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 def emit(text: str) -> None:

@@ -7,14 +7,16 @@ available offline, so this module implements the same idea in NumPy:
 * :class:`RegressionTree` — a depth-limited CART tree with quantile-candidate
   splits, squared-error criterion and minimum-leaf-size regularisation;
 * :class:`GradientBoostedTrees` — stage-wise boosting of those trees on the
-  residuals (squared-error gradient boosting) with shrinkage and optional
-  feature/row subsampling;
+  residuals (squared-error gradient boosting) with shrinkage and row
+  subsampling;
 * :class:`CostModel` — the tuner-facing wrapper: it is trained on *negative
   log runtime* (so "bigger is better" for ranking), refuses to predict until
   it has seen a minimum number of samples, and exposes a ranking helper.
 
-The implementation is vectorised: split search evaluates all candidate
-thresholds for one feature at once with cumulative sums.
+The split search follows XGBoost's presorted column blocks (Chen & Guestrin,
+KDD'16): each tree sorts every feature once, children inherit their parent's
+sorted orders, and one pass of cumulative sums evaluates the candidate
+thresholds of all features together.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class RegressionTree:
             raise ValueError("max_depth must be >= 1")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if max_candidate_splits < 1:
+            raise ValueError("max_candidate_splits must be >= 1")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_candidate_splits = max_candidate_splits
@@ -88,78 +92,114 @@ class RegressionTree:
         return len(self._value) - 1
 
     def _best_split(
-        self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
-    ) -> Optional[Tuple[int, float, float]]:
-        """Return (feature, threshold, gain) of the best split, or None."""
-        n, d = x.shape
-        if n < 2 * self.min_samples_leaf:
-            return None
-        base_err = float(np.var(y) * n)
-        best: Optional[Tuple[int, float, float]] = None
-        for f in range(d):
-            col = x[:, f]
-            order = np.argsort(col, kind="mergesort")
-            sorted_col = col[order]
-            sorted_y = y[order]
-            # Candidate thresholds at quantiles between distinct values.
-            uniques = np.unique(sorted_col)
-            if uniques.size < 2:
-                continue
-            if uniques.size - 1 > self.max_candidate_splits:
-                qs = np.linspace(0, uniques.size - 1, self.max_candidate_splits + 1)
-                cut_values = uniques[np.unique(qs.astype(int))]
-            else:
-                cut_values = uniques
-            thresholds = (cut_values[:-1] + cut_values[1:]) / 2.0
+        self, x: np.ndarray, node_y: np.ndarray, y: np.ndarray, order: np.ndarray
+    ) -> Optional[Tuple[int, float]]:
+        """Return ``(feature, threshold)`` of the best split, or None.
 
-            csum = np.cumsum(sorted_y)
-            csum_sq = np.cumsum(sorted_y**2)
-            total = csum[-1]
-            total_sq = csum_sq[-1]
-            # Position of each threshold: number of samples on the left.
-            lefts = np.searchsorted(sorted_col, thresholds, side="right")
-            valid = (lefts >= self.min_samples_leaf) & (
-                lefts <= n - self.min_samples_leaf
-            )
-            if not np.any(valid):
-                continue
-            lefts = lefts[valid]
-            thr = thresholds[valid]
-            left_sum = csum[lefts - 1]
-            left_sq = csum_sq[lefts - 1]
-            right_sum = total - left_sum
-            right_sq = total_sq - left_sq
-            nl = lefts.astype(np.float64)
-            nr = n - nl
-            err = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
-            idx = int(np.argmin(err))
-            gain = base_err - float(err[idx])
-            if gain > 1e-12 and (best is None or gain > best[2]):
-                best = (f, float(thr[idx]), gain)
-        return best
+        ``order`` is ``(features, node rows)``: row ``f`` holds the node's
+        indices into ``x``/``y`` sorted stably by feature ``f``.  All features
+        are searched at once on a padded ``(features, candidates)`` threshold
+        matrix; every float is computed by the same operations, in the same
+        order, as a per-feature search with a stable argsort, ``np.unique``
+        quantile cuts and ``searchsorted`` would compute it, so the chosen
+        split is bit-identical to that loop's (kept as the test oracle in
+        ``tests/cost_model_oracle.py``).
+        """
+        d, n = order.shape
+        msl, m = self.min_samples_leaf, self.max_candidate_splits
+        if n < 2 * msl or d == 0:
+            return None
+        base_err = float(np.var(node_y) * n)
+        feat = np.arange(d)[:, None]
+        sorted_x = x[order, feat]
+        sorted_y = y[order]
+
+        # Distinct values per feature, packed left in ascending order.  -0.0
+        # and 0.0 are one value; the sign kept cannot change a midpoint.
+        first = np.empty((d, n), dtype=bool)
+        first[:, 0] = True
+        np.not_equal(sorted_x[:, 1:], sorted_x[:, :-1], out=first[:, 1:])
+        span = np.count_nonzero(first, axis=1) - 1
+        uniques = np.sort(np.where(first, sorted_x, np.inf), axis=1)
+
+        # Cut values: all distinct values or, past m + 1 of them, the picks
+        # of np.linspace(0, span, m + 1).astype(int) computed the way
+        # linspace does (arange * step, last entry = stop).  With step > 1
+        # the picks strictly increase, so np.unique over them is the identity.
+        k = np.arange(m + 1)
+        picks = (k * (span / m)[:, None]).astype(np.intp)
+        picks[:, -1] = span
+        cut_idx = np.where((span > m)[:, None], picks, np.minimum(k, span[:, None]))
+        cuts = uniques[feat, cut_idx]
+        thresholds = (cuts[:, :-1] + cuts[:, 1:]) / 2.0
+        candidate = k[:-1] < np.minimum(span, m)[:, None]
+
+        # Rows left of each threshold.  A count rather than a position: a
+        # midpoint of two adjacent floats can round onto either of them.
+        lefts = (sorted_x[:, None, :] <= thresholds[:, :, None]).sum(axis=2)
+        valid = candidate & (lefts >= msl) & (lefts <= n - msl)
+        # Masked candidates get a harmless left size: the arithmetic below
+        # stays finite and their error is discarded.
+        lefts = np.where(valid, lefts, 1)
+
+        csum = np.cumsum(sorted_y, axis=1)
+        csum_sq = np.cumsum(sorted_y**2, axis=1)
+        left_sum = csum[feat, lefts - 1]
+        left_sq = csum_sq[feat, lefts - 1]
+        right_sum = csum[:, -1:] - left_sum
+        right_sq = csum_sq[:, -1:] - left_sq
+        nl = lefts.astype(np.float64)
+        nr = n - nl
+        err = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
+        err[~valid] = np.inf
+
+        # First-occurrence argmin per feature, then first-occurrence argmax
+        # over features: the scalar loop's tie-breaks.
+        best = np.argmin(err, axis=1)
+        gain = base_err - err[feat[:, 0], best]
+        gain = np.where(gain > 1e-12, gain, -np.inf)
+        f = int(np.argmax(gain))
+        if not gain[f] > 1e-12:
+            return None
+        return f, float(thresholds[f, best[f]])
 
     def _build(
-        self, x: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        rows: np.ndarray,
+        order: np.ndarray,
+        depth: int,
     ) -> int:
-        node = self._new_node(float(np.mean(y)))
+        """Grow the subtree over ``rows`` (a mask of ``x``) in preorder."""
+        node_y = y[rows]
+        node = self._new_node(float(np.mean(node_y)))
         self._depth = max(self._depth, depth)
         if depth >= self.max_depth:
             return node
-        split = self._best_split(x, y, rng)
+        split = self._best_split(x, node_y, y, order)
         if split is None:
             return node
-        f, thr, _ = split
-        mask = x[:, f] <= thr
-        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
-            return node
+        # The search counted exactly these rows per side, so both children
+        # hold at least min_samples_leaf of them.
+        f, thr = split
+        goes_left = x[:, f] <= thr
         self._feature[node] = f
         self._threshold[node] = thr
-        self._left[node] = self._build(x[mask], y[mask], depth + 1, rng)
-        self._right[node] = self._build(x[~mask], y[~mask], depth + 1, rng)
+        # A child's per-feature order is its parent's, filtered: stable
+        # sorting keeps ties in row order, so this equals re-sorting.
+        keep = goes_left[order]
+        d = order.shape[0]
+        self._left[node] = self._build(
+            x, y, rows & goes_left, order[keep].reshape(d, -1), depth + 1
+        )
+        self._right[node] = self._build(
+            x, y, rows & ~goes_left, order[~keep].reshape(d, -1), depth + 1
+        )
         return node
 
     # ------------------------------------------------------------------ #
-    def fit(self, x: np.ndarray, y: np.ndarray, rng: Optional[np.random.Generator] = None) -> "RegressionTree":
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -170,7 +210,9 @@ class RegressionTree:
         self._left, self._right, self._value = [], [], []
         self._arrays = None
         self._depth = 0
-        self._build(x, y, depth=0, rng=rng or np.random.default_rng(0))
+        # Sort every feature once per tree (stable, so ties keep row order).
+        order = np.argsort(x.T, axis=1, kind="mergesort")
+        self._build(x, y, np.ones(x.shape[0], dtype=bool), order, depth=0)
         self._arrays = _routing_arrays(
             self._feature, self._threshold, self._left, self._right, self._value
         )
@@ -251,7 +293,7 @@ class GradientBoostedTrees:
                 idx = np.arange(n)
             tree = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit(x[idx], residual[idx], rng)
+            ).fit(x[idx], residual[idx])
             update = tree.predict(x)
             pred = pred + self.learning_rate * update
             self._trees.append(tree)

@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cost_model_oracle import (
+    DATA_KINDS,
+    ROUNDS_DOWN,
+    ROUNDS_UP,
+    ScalarRegressionTree,
+    first_difference,
+    oracle_data,
+    scalar_split_search,
+    tree_arrays,
+)
+from repro.conv import ConvParams
 from repro.core.autotune import CostModel, GradientBoostedTrees, RegressionTree
+from repro.service import TuningRequest
 
 
 def _make_regression(n=200, d=6, seed=0, noise=0.05):
@@ -48,6 +60,10 @@ class TestRegressionTree:
             RegressionTree(max_depth=0)
         with pytest.raises(ValueError):
             RegressionTree(min_samples_leaf=0)
+        with pytest.raises(ValueError):
+            RegressionTree(max_candidate_splits=0)
+        with pytest.raises(ValueError):
+            RegressionTree(max_candidate_splits=-1)
 
     def test_min_samples_leaf_respected(self):
         x, y = _make_regression(30)
@@ -151,3 +167,121 @@ def test_property_gbt_reduces_training_error_vs_mean(seed, n):
     mse_model = float(np.mean((model.predict(x) - y) ** 2))
     mse_mean = float(np.var(y))
     assert mse_model <= mse_mean + 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# Bit-identity of the vectorised split search against the scalar oracle.
+
+def _assert_gbt_identical(x, y, **params):
+    fast = GradientBoostedTrees(**params).fit(x, y)
+    with scalar_split_search():
+        reference = GradientBoostedTrees(**params).fit(x, y)
+    assert isinstance(reference._trees[0], ScalarRegressionTree)
+    assert first_difference(fast, reference) is None
+    assert np.array_equal(fast.predict(x), reference.predict(x))
+
+
+def test_adjacent_float_midpoints_round_both_ways():
+    """The fixture really contains both rounding directions."""
+    lo, hi = ROUNDS_DOWN
+    assert (lo + hi) / 2.0 == lo
+    lo, hi = ROUNDS_UP
+    assert (lo + hi) / 2.0 == hi
+
+
+@pytest.mark.parametrize("kind", DATA_KINDS)
+@pytest.mark.parametrize("n", [2, 5, 16, 32, 70])
+def test_gbt_trees_match_scalar_oracle(kind, n):
+    """Every tree array of a boosted fit equals the scalar search's, bit for
+    bit: ties, constant columns, signed zeros, rounding midpoints, nodes
+    below ``2 * min_samples_leaf`` and more distinct values than
+    ``max_candidate_splits`` (n = 32, 70)."""
+    x, y = oracle_data(kind, n, 21, seed=n)
+    _assert_gbt_identical(x, y, n_estimators=6, seed=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 120),
+    d=st.integers(1, 24),
+    kind=st.sampled_from(DATA_KINDS),
+    max_depth=st.integers(1, 6),
+    min_samples_leaf=st.integers(1, 6),
+)
+def test_property_gbt_matches_scalar_oracle(seed, n, d, kind, max_depth, min_samples_leaf):
+    x, y = oracle_data(kind, n, d, seed)
+    _assert_gbt_identical(
+        x,
+        y,
+        n_estimators=3,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        seed=seed,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 150),
+    kind=st.sampled_from(DATA_KINDS),
+    max_candidate_splits=st.integers(1, 40),
+)
+def test_property_tree_matches_scalar_oracle(seed, n, kind, max_candidate_splits):
+    """Quantile cut picks for any ``max_candidate_splits``."""
+    x, y = oracle_data(kind, n, 7, seed)
+    params = {"max_depth": 5, "min_samples_leaf": 2, "max_candidate_splits": max_candidate_splits}
+    fast = RegressionTree(**params).fit(x, y)
+    reference = ScalarRegressionTree(**params).fit(x, y)
+    assert tree_arrays(fast) == tree_arrays(reference)
+
+
+def test_last_quantile_cut_is_the_largest_value():
+    """``np.linspace`` pins its last sample to ``stop``; for 16 distinct
+    values and 11 candidate splits, ``11 * (15 / 11)`` alone truncates to 14
+    and would lose the split (between cuts 13 and 15) that isolates the
+    largest value."""
+    assert int(11 * (15 / 11)) == 14
+    x = np.tile(np.arange(16.0), 2).reshape(-1, 1)
+    y = np.where(x[:, 0] == 15.0, 10.0, 0.0)
+    params = {"max_depth": 1, "min_samples_leaf": 2, "max_candidate_splits": 11}
+    tree = RegressionTree(**params).fit(x, y)
+    assert tree._threshold[0] == 14.0
+    assert tree_arrays(tree) == tree_arrays(ScalarRegressionTree(**params).fit(x, y))
+
+
+def test_no_features_gives_a_leaf():
+    tree = RegressionTree().fit(np.zeros((6, 0)), np.arange(6.0))
+    assert tree.num_nodes == 1
+    assert tree_arrays(tree) == tree_arrays(
+        ScalarRegressionTree().fit(np.zeros((6, 0)), np.arange(6.0))
+    )
+
+
+def test_tune_direct_trajectory_matches_scalar_oracle(v100, monkeypatch):
+    """A pruned ATE run measures exactly the same trials either way."""
+    request = TuningRequest(
+        ConvParams.square(8, 16, 32, kernel=3, stride=1, padding=1),
+        v100,
+        max_measurements=48,
+        seed=3,
+    )
+    fast = request.tune_direct()
+    oracle_rows = []
+    oracle_fit = ScalarRegressionTree.fit
+
+    def counting_fit(self, x, y):
+        oracle_rows.append(len(y))
+        return oracle_fit(self, x, y)
+
+    monkeypatch.setattr(ScalarRegressionTree, "fit", counting_fit)
+    with scalar_split_search():
+        reference = request.tune_direct()
+    assert oracle_rows, "the oracle run never fitted the cost model"
+
+    def trials(result):
+        return [(t.index, t.config, t.time_seconds.hex()) for t in result.trials]
+
+    assert len(fast.trials) == 48
+    assert trials(fast) == trials(reference)
