@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-store bench-daemon bench-cost-model compare-bench
+.PHONY: test lint reprolint stress daemonize-smoke bench bench-batched bench-service bench-explorer bench-store bench-daemon bench-cost-model bench-space compare-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,9 @@ bench-daemon:
 
 bench-cost-model:
 	$(PYTHON) -m pytest benchmarks/bench_cost_model.py -q -s
+
+bench-space:
+	$(PYTHON) -m pytest benchmarks/bench_space_size.py -q -s
 
 # Diff the latest BENCH_*.json telemetry against benchmarks/bench_baseline.json
 # (exit non-zero on regressions beyond the tolerance; CI runs it as a hard gate).

@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,48 +194,44 @@ class SearchSpace:
         return tx * ty * tz <= min(self.max_threads_per_block, self.spec.max_threads_per_block)
 
     # ------------------------------------------------------------------ #
-    # Size and iteration
+    # Size
     # ------------------------------------------------------------------ #
     def size(self) -> int:
         """Number of configurations in the space (computed exactly).
 
-        The full enumeration is expensive for unpruned spaces, so the count
-        is memoised: every tuning run, result record and benchmark that asks
-        for the size of the same space pays for the enumeration at most once.
+        Counted array-at-a-time by :meth:`_compute_size` (well under a
+        millisecond for the shapes a tuning request sees) and memoised, so
+        every tuning run, result record and benchmark asking for the size of
+        the same space counts it once.
         """
         if self._size is None:
             object.__setattr__(self, "_size", self._compute_size())
         return self._size
 
     def _compute_size(self) -> int:
-        total = 0
-        per_layout_order_unroll = len(self._layouts) * len(self._orders) * len(self._unrolls)
-        for smem in self._smem_opts:
-            for _e in self._e_opts:
-                for x in self._tile_x_opts:
-                    tx_opts = _thread_options(x)
-                    for y in self._tile_y_opts:
-                        ty_opts = _thread_options(y)
-                        for z in self._tile_z_opts:
-                            if not self._tile_ok(x, y, z, smem):
-                                continue
-                            tz_opts = _thread_options(z)
-                            thread_combos = sum(
-                                1
-                                for tx in tx_opts
-                                for ty in ty_opts
-                                for tz in tz_opts
-                                if self._thread_ok(tx, ty, tz)
-                            )
-                            total += thread_combos * per_layout_order_unroll
-        return total
-
-    def iter_tiles(self, smem: int) -> Iterator[Tuple[int, int, int]]:
-        for x in self._tile_x_opts:
-            for y in self._tile_y_opts:
-                for z in self._tile_z_opts:
-                    if self._tile_ok(x, y, z, smem):
-                        yield (x, y, z)
+        """Exact count: feasible (tile, smem) cells weighted by their thread
+        triples, times the knobs no constraint reads (``e``, layout, loop
+        order, unroll)."""
+        limit = min(self.max_threads_per_block, self.spec.max_threads_per_block)
+        # The thread bound depends only on (x, y, z).  One-hot every tile
+        # extent's thread options over the values they take and contract
+        # with the bound over value triples: combos[i, j, k] is the number of
+        # thread triples of tile (x_i, y_j, z_k) within the limit.
+        tables = [table for table, _ in self._thread_tables]
+        values = np.unique(np.concatenate([t[t != _PAD] for t in tables]))
+        hx, hy, hz = ((t[:, :, None] == values).sum(axis=1) for t in tables)
+        fits = np.multiply.outer(np.multiply.outer(values, values), values) <= limit
+        combos = np.tensordot(hx, hy @ (fits.astype(np.int64) @ hz.T), axes=1)
+        # Table 1's tile constraints per (x, y, z, smem) cell; they read no e.
+        x, y, z = self._tile_arrs
+        ok = self.tile_ok_mask(
+            x[:, None, None, None],
+            y[None, :, None, None],
+            z[None, None, :, None],
+            self._smem_arr,
+        )
+        per_cell = len(self._e_opts) * len(self._layouts) * len(self._orders) * len(self._unrolls)
+        return int((combos[..., None] * ok).sum()) * per_cell
 
     # ------------------------------------------------------------------ #
     # Membership

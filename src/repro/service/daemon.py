@@ -238,6 +238,12 @@ class TuningDaemon:
         self._tokens = float(self.burst)
         self._last_refill = self._clock.now()
         self._lock = threading.RLock()
+        # Signalled once settled requests are journaled (and at shutdown),
+        # so a ``result`` op asked to wait wakes on completion, not a timer.
+        self._settled = threading.Condition(self._lock)
+        #: bumped by :meth:`wake_waiters`; a waiter that sees it change
+        #: stops waiting and answers NOT_READY.
+        self._wake_epoch = 0
         with self._lock:
             self._recover_locked()
 
@@ -376,12 +382,17 @@ class TuningDaemon:
         self._g_queue_depth.set(len(self._futures))
 
     # -- wire dispatch --------------------------------------------------- #
-    def handle(self, op: Dict[str, object]) -> Dict[str, object]:
+    def handle(self, op: Dict[str, object], *, wait: float = 0.0) -> Dict[str, object]:
         """Serve one decoded wire op; always returns a reply dict.
 
         Typed :class:`~repro.service.errors.RequestError` rejections become
         ``{"ok": false, "error": {...}}`` replies — the daemon never raises
         at a transport and never leaves an op unanswered.
+
+        ``wait`` (seconds) lets a ``result`` op for an in-flight request
+        block until the request is journaled terminal, for at most that
+        long, before answering ``NOT_READY``; the socket server passes a
+        bound, ``FakeTransport`` keeps the non-blocking default.
         """
         try:
             if not isinstance(op, dict):
@@ -396,7 +407,7 @@ class TuningDaemon:
             if kind == "status":
                 return self._op_status(op)
             if kind == "result":
-                return self._op_result(op)
+                return self._op_result(op, wait)
             if kind == "drain":
                 return {"ok": True, **self.drain()}
             raise BadRequest(f"unknown op {kind!r}")
@@ -435,13 +446,21 @@ class TuningDaemon:
                 reply["error"] = entry.error
             return reply
 
-    def _op_result(self, op: Dict[str, object]) -> Dict[str, object]:
+    def _op_result(self, op: Dict[str, object], wait: float = 0.0) -> Dict[str, object]:
         rid = str(op.get("rid", ""))
         with self._lock:
             self._finalize_done_locked()
             entry = self.journal.get(rid)
             if entry is None:
                 raise UnknownRequest(f"no journaled request {rid!r}")
+            if wait > 0.0 and not entry.terminal:
+                epoch = self._wake_epoch
+                self._settled.wait_for(
+                    lambda: self.journal.get(rid).terminal
+                    or self._wake_epoch != epoch,
+                    timeout=wait,
+                )
+                entry = self.journal.get(rid)
             if entry.status == "done":
                 return {"ok": True, "rid": rid, "state": "done", "result": entry.result}
             if entry.status == "failed":
@@ -632,6 +651,17 @@ class TuningDaemon:
             else:
                 self.journal.complete(rid, result_to_wire(result))
                 self._c_completed.inc()
+        if settled:
+            # After the journal writes: a woken waiter reads its terminal
+            # entry, and notifying earlier only contends for the lock.
+            self._settled.notify_all()
+
+    def wake_waiters(self) -> None:
+        """Release every ``result`` op blocked in :meth:`handle`; each
+        answers at once (``NOT_READY`` unless its request has settled)."""
+        with self._lock:
+            self._wake_epoch += 1
+            self._settled.notify_all()
 
     # -- lifecycle ------------------------------------------------------- #
     def drain(self) -> Dict[str, object]:
@@ -641,6 +671,7 @@ class TuningDaemon:
         daemon keeps serving ``status``/``result`` ops afterwards."""
         with self._lock:
             self._draining = True
+        self.wake_waiters()
         ticks = self.run_until_idle()
         with self._lock:
             if self.pool is not None:
@@ -671,6 +702,7 @@ class TuningDaemon:
                 self.pool.terminate()
             self.journal.close()
             self.database.close()
+        self.wake_waiters()
 
     def describe(self) -> Dict[str, object]:
         """JSON-native status snapshot (served by the ``describe`` op)."""

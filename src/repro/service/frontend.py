@@ -20,9 +20,15 @@ Two transports speak the identical wire format:
   tick so client retry/poll loops make deterministic progress.
 
 :class:`DaemonClient` is the thin submit/await API on top of either
-transport: retryable errors (``RETRY_AFTER`` admission pushback,
-``NOT_READY`` polls) and transport ``ConnectionError`` are retried with
-exponential backoff + seeded jitter, and a resubmitted request is
+transport.  Faults — transport ``ConnectionError`` and ``RETRY_AFTER``
+admission pushback — are retried with exponential backoff + seeded jitter.
+A ``NOT_READY`` reply is the poll protocol, not a fault: the client comes
+back after exactly the server's ``retry_after`` hint.  Over the socket a
+``result`` op does not answer ``NOT_READY`` straight away either: the
+server holds it until the request is journaled terminal, for at most
+``RESULT_WAIT_S``, so a request that settles within the bound is answered
+on the poll already in flight.  ``FakeTransport`` keeps the non-blocking
+reply, so the fault model stays deterministic.  A resubmitted request is
 idempotent by construction — the daemon keys its journal on
 :func:`~repro.service.journal.request_id`, so a retried submit coalesces
 onto the original journal entry instead of duplicating work.
@@ -38,7 +44,7 @@ import time
 from typing import Dict, Optional
 
 from ..core.autotune.session import TuningResult
-from .errors import RequestError, RequestTimeout, error_from_wire
+from .errors import NotReady, RequestError, RequestTimeout, error_from_wire
 from .journal import request_to_wire, result_from_wire
 from .request import TuningRequest
 
@@ -55,6 +61,10 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 _MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: longest a socket ``result`` op waits for its request to settle before
+#: answering ``NOT_READY`` (well inside ``SocketTransport``'s timeout).
+RESULT_WAIT_S = 1.0
 
 
 def encode_line(payload: Dict[str, object]) -> bytes:
@@ -180,8 +190,11 @@ class DaemonSocketServer:
     Three kinds of threads: one accept loop, one short-lived thread per
     connection (read op lines, write reply lines — the daemon's ``handle``
     is thread-safe), and one pump thread running ``daemon.tick()`` so
-    tuning progresses while clients poll.  All threads are daemonic; the
-    sleep in the pump loop is pacing between ticks, not a timing source.
+    tuning progresses while clients poll.  A ``result`` op is handled with
+    ``wait=RESULT_WAIT_S``: its connection thread sleeps on the daemon's
+    completion signal instead of answering ``NOT_READY`` at once.  All
+    threads are daemonic; the sleep in the pump loop is pacing between
+    ticks, not a timing source.
     """
 
     def __init__(
@@ -222,6 +235,9 @@ class DaemonSocketServer:
 
     def stop(self) -> None:
         self._stop.set()
+        # Release result ops blocked in the daemon so their connection
+        # threads answer and exit now, not after RESULT_WAIT_S.
+        self.daemon.wake_waiters()
         for thread in self._threads:
             thread.join(timeout=5.0)
         if self._listener is not None:
@@ -291,7 +307,8 @@ class DaemonSocketServer:
                             },
                         }
                     else:
-                        reply = self.daemon.handle(op)
+                        wait = RESULT_WAIT_S if op.get("op") == "result" else 0.0
+                        reply = self.daemon.handle(op, wait=wait)
                     try:
                         conn.sendall(encode_line(reply))
                     except OSError:
@@ -308,9 +325,12 @@ class DaemonSocketServer:
 class DaemonClient:
     """Submit/await API over a transport, with idempotent retries.
 
-    Backoff is exponential with multiplicative jitter from an explicitly
-    seeded ``random.Random`` (deterministic under test, decorrelated in a
-    fleet); a server-supplied ``retry_after`` hint floors the delay.
+    Faults (``ConnectionError``, ``RETRY_AFTER``) back off exponentially
+    with multiplicative jitter from an explicitly seeded ``random.Random``
+    (deterministic under test, decorrelated in a fleet); a server-supplied
+    ``retry_after`` hint floors the delay.  ``NOT_READY`` polls wait
+    exactly the server's hint, so a settled result is never held back by
+    a grown backoff.
     ``sleep`` is injectable — tests pass ``FakeClock.advance`` so backoff
     *advances* simulated time (refilling the daemon's token bucket) instead
     of stalling the suite.
@@ -360,6 +380,7 @@ class DaemonClient:
         """One op with retries; returns the ok-reply or raises typed."""
         limit = self.max_attempts if attempts is None else attempts
         attempt = 0
+        faults = 0  # the backoff exponent: polls do not grow it
         while True:
             try:
                 reply = self.transport.call(op)
@@ -367,15 +388,20 @@ class DaemonClient:
                 if attempt + 1 >= limit:
                     raise
                 self.retries += 1
-                self._sleep(self._backoff_delay(attempt, None))
+                self._sleep(self._backoff_delay(faults, None))
                 attempt += 1
+                faults += 1
                 continue
             if reply.get("ok"):
                 return reply
             error = error_from_wire(reply.get("error", {}))
             if error.retryable and attempt + 1 < limit:
                 self.retries += 1
-                self._sleep(self._backoff_delay(attempt, error.retry_after))
+                if isinstance(error, NotReady) and error.retry_after is not None:
+                    self._sleep(error.retry_after)
+                else:
+                    self._sleep(self._backoff_delay(faults, error.retry_after))
+                    faults += 1
                 attempt += 1
                 continue
             raise error

@@ -15,14 +15,17 @@ scenarios are exactly reproducible:
 * the client's retry discipline (overload -> backoff -> eventual success,
   transient transport faults, idempotent resubmit).
 
-The one threaded test (socket server + concurrent clients + a kill) is
-marked ``slow`` and runs in the non-blocking stress CI job.
+The socket tests (transport robustness, the completion-woken ``result``
+poll) use a real ``AF_UNIX`` server with bounded waits.  The threaded
+stress tests (concurrent clients with a kill, concurrent woken polls) are
+marked ``slow`` and run in the non-blocking stress CI job.
 """
 
 import dataclasses
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -595,6 +598,33 @@ class TestClientRetry:
         assert all(d > 0 for d in delays)
         assert client._backoff_delay(0, 10.0) >= 10.0  # server hint floors
 
+    def test_not_ready_polls_wait_exactly_the_hint(self, tmp_path):
+        """However long a request runs, its settled result reaches the
+        client within one ``retry_after`` hint: a poll is the protocol, not
+        a fault, so it never grows into an exponential backoff."""
+        clock = FakeClock()
+        daemon = TuningDaemon(tmp_path / "j.log", clock=clock)
+        rid = daemon.submit(_sa_request(budget=40))
+        period = 0.05  # the pump ticks every 50 simulated ms
+        pump = {"next": period, "settled_at": None}
+
+        def sleep(seconds):
+            # Run the pump ticks that fall inside the client's sleep.
+            end = clock.now() + seconds
+            while pump["next"] <= end:
+                clock.advance(max(0.0, pump["next"] - clock.now()))
+                daemon.tick()
+                if pump["settled_at"] is None and daemon.journal.get(rid).terminal:
+                    pump["settled_at"] = clock.now()
+                pump["next"] += period
+            clock.advance(max(0.0, end - clock.now()))
+
+        client = DaemonClient(FakeTransport(daemon, auto_pump=False), sleep=sleep)
+        result = client.result(rid)
+        assert pump["settled_at"] > 1.0  # a long run: many polls went by
+        assert clock.now() - pump["settled_at"] <= 0.01 + 1e-9
+        assert _trials(result) == _trials(_sa_request(budget=40).tune_direct())
+
     def test_nonretryable_error_raises_immediately(self, tmp_path):
         clock = FakeClock()
         clock.advance(100.0)
@@ -893,6 +923,114 @@ class TestSocketServerRobustness:
             daemon.close()
 
 
+#: the woken-poll tests bound real waits; one monotonic clock, read only
+#: there (REPRO701).
+_WALL = MonotonicClock()
+
+
+class TestWokenResult:
+    """Over the socket a ``result`` op waits for its request to settle (for
+    at most ``frontend.RESULT_WAIT_S``), so a poll is answered on completion
+    instead of after a retry."""
+
+    def _serving(self, tmp_path):
+        path = str(tmp_path / "woken.sock")
+        daemon = TuningDaemon(tmp_path / "woken.journal")
+        server = DaemonSocketServer(daemon, path).start()
+        return path, daemon, server
+
+    @staticmethod
+    def _hold_pump(daemon, gate):
+        """Idle the server's pump (no scheduling rounds) until ``gate``."""
+        tick = daemon.tick
+        daemon.tick = lambda: tick() if gate.is_set() else False
+
+    @staticmethod
+    def _await_blocked_waiter(daemon, timeout=5.0):
+        deadline = _WALL.now() + timeout
+        # Condition._waiters: the threads blocked in wait_for (CPython).
+        while not daemon._settled._waiters:
+            assert _WALL.now() < deadline, "the result op never blocked"
+            time.sleep(0.005)  # pacing, not a timing source
+
+    def test_cheap_requests_need_no_retries(self, tmp_path):
+        path, daemon, server = self._serving(tmp_path)
+        # Pace the pump outside the daemon lock so a poll always gets the
+        # lock while its request (16 one-measurement rounds) is in flight.
+        tick = daemon.tick
+        daemon.tick = lambda: (time.sleep(0.001), tick())[1]
+        try:
+            client = DaemonClient(SocketTransport(path, timeout=10.0))
+            requests = [_sa_request(seed=seed, budget=16) for seed in range(30)]
+            results = [client.submit_and_wait(r) for r in requests]
+            assert client.retries == 0
+            assert daemon.stats.completed == 30
+            for request, result in zip(requests[:3], results):
+                assert _trials(result) == _trials(request.tune_direct())
+        finally:
+            server.stop()
+            daemon.close()
+
+    def test_held_pump_answers_not_ready_after_the_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(frontend, "RESULT_WAIT_S", 0.2)
+        path, daemon, server = self._serving(tmp_path)
+        gate = threading.Event()
+        self._hold_pump(daemon, gate)
+        try:
+            request = _request(seed=5, budget=8)
+            client = DaemonClient(SocketTransport(path, timeout=10.0))
+            rid = client.submit(request)
+            start = _WALL.now()
+            reply = SocketTransport(path, timeout=10.0).call({"op": "result", "rid": rid})
+            assert reply["error"]["code"] == "NOT_READY"
+            assert _WALL.now() - start >= 0.15  # held for the bound
+            # The client's poll loop still delivers once the pump runs.
+            answer = {}
+            poller = threading.Thread(
+                target=lambda: answer.update(result=client.result(rid)), daemon=True
+            )
+            poller.start()
+            deadline = _WALL.now() + 5.0
+            while client.retries < 1 and _WALL.now() < deadline:
+                time.sleep(0.01)  # pacing: let the poller see one NOT_READY
+            assert client.retries >= 1
+            gate.set()
+            poller.join(timeout=10.0)
+            assert not poller.is_alive()
+            assert _trials(answer["result"]) == _trials(request.tune_direct())
+        finally:
+            gate.set()
+            server.stop()
+            daemon.close()
+
+    @pytest.mark.parametrize("shutdown", ["server.stop", "daemon.close"])
+    def test_shutdown_wakes_a_blocked_waiter(self, tmp_path, monkeypatch, shutdown):
+        monkeypatch.setattr(frontend, "RESULT_WAIT_S", 5.0)
+        path, daemon, server = self._serving(tmp_path)
+        gate = threading.Event()
+        self._hold_pump(daemon, gate)
+        try:
+            rid = DaemonClient(SocketTransport(path, timeout=10.0)).submit(_request(seed=6))
+            replies = []
+            waiter = threading.Thread(
+                target=lambda: replies.append(
+                    SocketTransport(path, timeout=10.0).call({"op": "result", "rid": rid})
+                ),
+                daemon=True,
+            )
+            waiter.start()
+            self._await_blocked_waiter(daemon)
+            start = _WALL.now()
+            (server.stop if shutdown == "server.stop" else daemon.close)()
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+            assert _WALL.now() - start < 1.0  # well inside the 5 s bound
+            assert [r["error"]["code"] for r in replies] == ["NOT_READY"]
+        finally:
+            server.stop()
+            daemon.close()
+
+
 # -- stress (non-blocking CI job) ----------------------------------------- #
 @pytest.mark.slow
 class TestDaemonStress:
@@ -949,3 +1087,41 @@ class TestDaemonStress:
         server2.stop()
         assert not errors, errors
         assert results == {i: ref for i, ref in enumerate(references)}
+
+    def test_concurrent_woken_polls(self, tmp_path):
+        """More client threads than cores, each polling with a server-side
+        wait, under a shortened switch interval: every client gets its own
+        request's bit-identical result and the daemon journals each once."""
+        path = str(tmp_path / "woken.sock")
+        daemon = TuningDaemon(tmp_path / "j.log")
+        server = DaemonSocketServer(daemon, path).start()
+        requests = [_sa_request(seed=seed, budget=12) for seed in range(8)]
+        results, errors = {}, []
+
+        def worker(index):
+            client = DaemonClient(SocketTransport(path, timeout=10.0), jitter_seed=index)
+            try:
+                for round_ in range(3):
+                    request = requests[(index + round_) % len(requests)]
+                    results[(index, round_)] = (request, _trials(client.submit_and_wait(request)))
+            except Exception as exc:  # surfaced after join
+                errors.append((index, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+            daemon.close()
+        assert not errors, errors
+        references = {r: _trials(r.tune_direct()) for r in requests}
+        assert len(results) == 24
+        assert all(trials == references[r] for r, trials in results.values())
+        assert daemon.stats.completed == len(requests)
