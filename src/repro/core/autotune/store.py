@@ -270,7 +270,15 @@ def resolve_record(
 
 # -- shared on-disk helpers --------------------------------------------- #
 def _atomic_write_json(path: str, payload: dict, fsync: bool = False) -> str:
-    """Write ``payload`` to ``path`` via temp file + ``os.replace``.
+    """Write ``payload`` to ``path`` as indented JSON; see :func:`_atomic_write`."""
+    return _atomic_write(
+        path, lambda fh: json.dump(payload, fh, indent=1, sort_keys=True), fsync
+    )
+
+
+def _atomic_write(path: str, write, fsync: bool = False) -> str:
+    """Fill ``path`` by calling ``write(text_file)`` on a temp file, then
+    ``os.replace`` it into place.
 
     Readers never observe a half-written file and a crash mid-write leaves
     any previous file intact; ``fsync=True`` additionally forces the bytes
@@ -284,7 +292,7 @@ def _atomic_write_json(path: str, payload: dict, fsync: bool = False) -> str:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            write(fh)
             if fsync:
                 fh.flush()
                 os.fsync(fh.fileno())

@@ -241,6 +241,9 @@ class TuningDaemon:
         # Signalled once settled requests are journaled (and at shutdown),
         # so a ``result`` op asked to wait wakes on completion, not a timer.
         self._settled = threading.Condition(self._lock)
+        # Signalled when a request enters the backend (and at shutdown), so
+        # an idle pump wakes on work instead of polling on a timer.
+        self._work = threading.Condition(self._lock)
         #: bumped by :meth:`wake_waiters`; a waiter that sees it change
         #: stops waiting and answers NOT_READY.
         self._wake_epoch = 0
@@ -550,6 +553,8 @@ class TuningDaemon:
             # result now so even an instant crash re-serves it.
             self._finalize_done_locked()
             self._g_queue_depth.set(len(self._futures))
+            if self._futures:
+                self._work.notify_all()
             return rid
 
     def _take_token_locked(self, now: float) -> bool:
@@ -596,6 +601,17 @@ class TuningDaemon:
             self._finalize_done_locked()
             self._g_queue_depth.set(len(self._futures))
             return progressed or bool(self._futures)
+
+    def wait_for_work(self, timeout: float, cancelled=lambda: False) -> bool:
+        """Block until a request is in flight or ``cancelled()`` holds, for
+        at most ``timeout`` seconds; True when a request is in flight.
+
+        The socket server's pump waits here between busy spells.  Both
+        conditions are checked under the daemon lock, and submits and
+        :meth:`wake_waiters` signal under it, so no wake-up is lost."""
+        with self._lock:
+            self._work.wait_for(lambda: self._futures or cancelled(), timeout)
+            return bool(self._futures)
 
     def run_until_idle(self, max_ticks: int = 1_000_000) -> int:
         """Tick until no in-flight work remains; returns ticks run."""
@@ -658,10 +674,12 @@ class TuningDaemon:
 
     def wake_waiters(self) -> None:
         """Release every ``result`` op blocked in :meth:`handle`; each
-        answers at once (``NOT_READY`` unless its request has settled)."""
+        answers at once (``NOT_READY`` unless its request has settled).
+        A pump blocked in :meth:`wait_for_work` re-checks its conditions."""
         with self._lock:
             self._wake_epoch += 1
             self._settled.notify_all()
+            self._work.notify_all()
 
     # -- lifecycle ------------------------------------------------------- #
     def drain(self) -> Dict[str, object]:

@@ -192,9 +192,13 @@ class DaemonSocketServer:
     is thread-safe), and one pump thread running ``daemon.tick()`` so
     tuning progresses while clients poll.  A ``result`` op is handled with
     ``wait=RESULT_WAIT_S``: its connection thread sleeps on the daemon's
-    completion signal instead of answering ``NOT_READY`` at once.  All
-    threads are daemonic; the sleep in the pump loop is pacing between
-    ticks, not a timing source.
+    completion signal instead of answering ``NOT_READY`` at once.  Between
+    busy spells the pump sleeps on the daemon's work signal
+    (:meth:`~repro.service.daemon.TuningDaemon.wait_for_work`), which every
+    accepted submit and :meth:`stop` raise, so an idle daemon runs no
+    scheduling rounds and a new request starts without waiting out a
+    polling period; ``idle_sleep`` only bounds one such wait.  All threads
+    are daemonic.
     """
 
     def __init__(
@@ -202,7 +206,7 @@ class DaemonSocketServer:
         daemon,
         path: str,
         *,
-        idle_sleep: float = 0.002,
+        idle_sleep: float = 0.05,
         max_line_bytes: int = _MAX_LINE_BYTES,
     ) -> None:
         self.daemon = daemon
@@ -317,8 +321,9 @@ class DaemonSocketServer:
     def _pump_loop(self) -> None:
         while not self._stop.is_set():
             if not self.daemon.tick():
-                # Pacing between scheduling rounds, not a timing source.
-                time.sleep(self._idle_sleep)
+                # Idle: sleep until a submit hands the daemon work (or
+                # stop() wakes us), not for a fixed polling period.
+                self.daemon.wait_for_work(self._idle_sleep, self._stop.is_set)
 
 
 # -- client -------------------------------------------------------------- #

@@ -16,7 +16,10 @@ The on-disk shape deliberately reuses the proven
 * ``path + ".snap"`` is the compaction snapshot (``kind:
   "journal-snapshot"``, fsync'd, atomically replaced): the folded per-request
   state map, written by :meth:`RequestJournal.snapshot` (a drain hook) or
-  automatically once the log tail reaches ``snapshot_min_entries`` lines.
+  automatically once the log tail reaches ``snapshot_min_entries`` lines and
+  holds the lifecycle events of at least as many requests as the last
+  snapshot did, so snapshots are spaced geometrically and the work they
+  rewrite stays proportional to the events appended.
 * Recovery folds the snapshot, then replays the log tail through the same
   monotonic fold, tolerating exactly one undecodable *trailing* line (the
   mid-append crash signature, truncated away); an undecodable line anywhere
@@ -54,7 +57,7 @@ from ..core.autotune.session import TrialRecord, TuningResult
 from ..core.autotune.store import (
     FORMAT_VERSION,
     TuningDatabaseError,
-    _atomic_write_json,
+    _atomic_write,
     _check_format,
     _params_from_dict,
     _params_to_dict,
@@ -75,6 +78,8 @@ __all__ = [
 #: request states a journal entry may hold, in lifecycle order.
 _ORDER = {"accepted": 0, "running": 1, "done": 2, "failed": 2}
 _TERMINAL = ("done", "failed")
+#: event lines one request writes over its life (accepted, running, terminal).
+_LIFECYCLE_EVENTS = 3
 
 
 # -- wire codecs --------------------------------------------------------- #
@@ -264,6 +269,7 @@ class RequestJournal:
         self._entries: Dict[str, JournalEntry] = {}
         self._log_file = None
         self._lines = 0  # event lines in the log tail since the last snapshot
+        self._snapshot_entries = 0  # entries the last snapshot held
         self._recoveries = 0
         self._lock = threading.RLock()
         with self._lock:
@@ -322,7 +328,9 @@ class RequestJournal:
         if self._fsync_appends:
             os.fsync(self._log_file.fileno())
         self._lines += 1
-        if self._lines >= self._snapshot_min_entries:
+        if self._lines >= max(
+            self._snapshot_min_entries, _LIFECYCLE_EVENTS * self._snapshot_entries
+        ):
             self._snapshot_locked()
         return True
 
@@ -429,12 +437,8 @@ class RequestJournal:
         log; between replace and reset leaves new snapshot + old log, whose
         replay is pure over-delivery (the fold is idempotent); a failed
         reset reopens the old log and keeps appending to it."""
-        payload = {
-            "format": FORMAT_VERSION,
-            "kind": "journal-snapshot",
-            "entries": [e.to_dict() for e in self._entries.values()],
-        }
-        _atomic_write_json(self.snapshot_path, payload, fsync=True)
+        _atomic_write(self.snapshot_path, self._write_snapshot_locked, fsync=True)
+        self._snapshot_entries = len(self._entries)
         self._log_file.close()
         self._log_file = None
         try:
@@ -442,6 +446,22 @@ class RequestJournal:
         finally:
             self._log_file = open(self.path, "a", encoding="utf-8")
         self._lines = 0
+
+    def _write_snapshot_locked(self, fh) -> None:
+        """(lock held) Stream the snapshot document, one entry at a time.
+
+        ``json.dump`` always runs the pure-Python encoder; ``json.dumps``
+        per entry runs the C one, which is several times faster, and
+        streaming keeps the whole document out of memory.  The bytes
+        decode to the same ``{"entries", "format", "kind"}`` object."""
+        fh.write('{"entries": [')
+        for i, entry in enumerate(self._entries.values()):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(entry.to_dict(), sort_keys=True))
+        fh.write(
+            f'], "format": {FORMAT_VERSION}, "kind": "journal-snapshot"}}'
+        )
 
     def _write_fresh_log_locked(self) -> None:
         """(lock held) Atomically install a header-only log file, so a
@@ -481,6 +501,7 @@ class RequestJournal:
             self._log_file = None
         self._entries = {}
         self._lines = 0
+        self._snapshot_entries = 0
         if os.path.exists(self.snapshot_path):
             self._fold_snapshot_locked()
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
@@ -505,6 +526,7 @@ class RequestJournal:
                     f"atomically, so this is corruption, not a crash): {exc}"
                 ) from exc
         payload = _check_format(payload, name, kind="journal-snapshot")
+        self._snapshot_entries = len(payload.get("entries", []))
         try:
             for d in payload.get("entries", []):
                 entry = JournalEntry.from_dict(d)

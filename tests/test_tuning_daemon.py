@@ -209,6 +209,70 @@ class TestRequestJournal:
             journal.complete(f"r{i}", {"tuner": "x"})
         assert os.path.exists(journal.snapshot_path)
 
+    @staticmethod
+    def _count_snapshots(journal):
+        counts = []
+        snapshot = journal._snapshot_locked
+
+        def counted():
+            snapshot()
+            counts.append(len(journal))
+
+        journal._snapshot_locked = counted
+        return counts
+
+    def test_auto_snapshots_are_spaced_geometrically(self, tmp_path):
+        # Each auto snapshot rewrites every entry, so the next one waits
+        # for the lifecycle events of as many new requests: total rewrite
+        # work stays linear in the requests journaled.
+        journal = self._journal(tmp_path, snapshot_min_entries=6)
+        counts = self._count_snapshots(journal)
+        for i in range(300):
+            journal.accept(f"r{i}", {"i": i})
+            journal.mark_running(f"r{i}")
+            journal.complete(f"r{i}", {"tuner": "x"})
+        assert counts == [2, 4, 8, 16, 32, 64, 128, 256]
+        assert sum(counts) <= 2 * len(journal)
+        before = {rid: e.to_dict() for rid, e in journal.states().items()}
+        journal.close()
+        recovered = self._journal(tmp_path, snapshot_min_entries=6)
+        assert {rid: e.to_dict() for rid, e in recovered.states().items()} == before
+        recovered.close()
+
+    def test_recovery_keeps_the_snapshot_spacing(self, tmp_path):
+        journal = self._journal(tmp_path, snapshot_min_entries=6)
+        for i in range(10):
+            journal.accept(f"r{i}", {})
+        journal.snapshot()
+        journal.close()
+        recovered = self._journal(tmp_path, snapshot_min_entries=6)
+        counts = self._count_snapshots(recovered)
+        # The folded snapshot held 10 entries: 30 tail lines come first.
+        for i in range(10):
+            recovered.complete(f"r{i}", {"tuner": "x"})
+        for i in range(10, 20):
+            recovered.accept(f"r{i}", {})
+            recovered.mark_running(f"r{i}")
+        assert counts == [20]
+        recovered.close()
+
+    def test_snapshot_document_decodes_to_the_folded_state(self, tmp_path):
+        journal = self._journal(tmp_path)
+        journal.accept("r1", {"i": 1})
+        journal.complete("r1", {"tuner": "x", "trials": [{"t": None}]})
+        journal.accept("r2", {"i": 2})
+        journal.fail("r2", {"code": "TIMEOUT", "message": "late é"})
+        journal.accept("r3", {"i": 3})
+        journal.snapshot()
+        with open(journal.snapshot_path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+        assert document == {
+            "entries": [e.to_dict() for e in journal.states().values()],
+            "format": 1,
+            "kind": "journal-snapshot",
+        }
+        journal.close()
+
     def test_replay_twice_equals_replay_once(self, tmp_path):
         journal = self._journal(tmp_path)
         journal.accept("r1", {})
@@ -1026,6 +1090,66 @@ class TestWokenResult:
             assert not waiter.is_alive()
             assert _WALL.now() - start < 1.0  # well inside the 5 s bound
             assert [r["error"]["code"] for r in replies] == ["NOT_READY"]
+        finally:
+            server.stop()
+            daemon.close()
+
+
+class TestIdlePump:
+    """The socket server's pump sleeps on the daemon's work signal while
+    nothing is in flight: a submit wakes it, and an idle daemon runs no
+    scheduling rounds."""
+
+    def _serving(self, tmp_path, **kwargs):
+        path = str(tmp_path / "pump.sock")
+        daemon = TuningDaemon(tmp_path / "pump.journal")
+        server = DaemonSocketServer(daemon, path, **kwargs).start()
+        return path, daemon, server
+
+    @staticmethod
+    def _steps(daemon):
+        return daemon.metrics_snapshot().counters.get("daemon.backend.steps", 0)
+
+    def test_idle_pump_runs_no_rounds(self, tmp_path):
+        path, daemon, server = self._serving(tmp_path, idle_sleep=30.0)
+        try:
+            assert DaemonClient(SocketTransport(path, timeout=10.0)).ping()
+            deadline = _WALL.now() + 5.0
+            while self._steps(daemon) < 1:  # the pump's first round, at start
+                assert _WALL.now() < deadline
+                time.sleep(0.005)  # pacing, not a timing source
+            before = self._steps(daemon)
+            time.sleep(0.3)  # an idle stretch a 2 ms polling pump ticks ~150 times in
+            assert self._steps(daemon) == before
+        finally:
+            server.stop()
+            daemon.close()
+
+    def test_submit_wakes_the_idle_pump(self, tmp_path):
+        # idle_sleep far beyond every bound below: only the submit's
+        # signal can start the rounds that answer these requests.
+        path, daemon, server = self._serving(tmp_path, idle_sleep=30.0)
+        try:
+            client = DaemonClient(SocketTransport(path, timeout=10.0))
+            start = _WALL.now()
+            for seed in range(3):
+                request = _request(seed=seed, budget=8)
+                result = client.submit_and_wait(request)
+                assert _trials(result) == _trials(request.tune_direct())
+            assert client.retries == 0
+            assert _WALL.now() - start < 10.0
+        finally:
+            server.stop()
+            daemon.close()
+
+    def test_stop_wakes_the_idle_pump(self, tmp_path):
+        path, daemon, server = self._serving(tmp_path, idle_sleep=30.0)
+        try:
+            assert DaemonClient(SocketTransport(path, timeout=10.0)).ping()
+            start = _WALL.now()
+            server.stop()
+            assert _WALL.now() - start < 5.0  # the join timeout, not idle_sleep
+            assert not any(t.is_alive() for t in server._threads)
         finally:
             server.stop()
             daemon.close()
