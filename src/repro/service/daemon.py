@@ -235,6 +235,7 @@ class TuningDaemon:
         self._expiry: Dict[str, float] = {}
         self._accepted_at: Dict[str, float] = {}
         self._draining = False
+        self._closed = False
         self._tokens = float(self.burst)
         self._last_refill = self._clock.now()
         self._lock = threading.RLock()
@@ -342,6 +343,13 @@ class TuningDaemon:
     def draining(self) -> bool:
         with self._lock:
             return self._draining
+
+    @property
+    def closed(self) -> bool:
+        """True after :meth:`close` (or :meth:`kill`): the journal refuses
+        further events, so ops that write it raise instead of answering."""
+        with self._lock:
+            return self._closed
 
     # -- recovery -------------------------------------------------------- #
     def _recover_locked(self) -> None:
@@ -716,6 +724,7 @@ class TuningDaemon:
         backend is terminated SIGKILL-style — no worker drain, no shard
         compaction — so a killed and a closed daemon recover identically."""
         with self._lock:
+            self._closed = True
             if self.pool is not None:
                 self.pool.terminate()
             self.journal.close()

@@ -43,6 +43,7 @@ import threading
 import time
 from typing import Dict, Optional
 
+from ..core.autotune.database import TuningDatabaseError
 from ..core.autotune.session import TuningResult
 from .errors import NotReady, RequestError, RequestTimeout, error_from_wire
 from .journal import request_to_wire, result_from_wire
@@ -312,7 +313,16 @@ class DaemonSocketServer:
                         }
                     else:
                         wait = RESULT_WAIT_S if op.get("op") == "result" else 0.0
-                        reply = self.daemon.handle(op, wait=wait)
+                        try:
+                            reply = self.daemon.handle(op, wait=wait)
+                        except TuningDatabaseError:
+                            if not self.daemon.closed:
+                                raise
+                            # The daemon was closed under this connection
+                            # and its journal refuses the op: hang up, so
+                            # the client retries (reconnecting to whatever
+                            # daemon serves the path next) as after a kill.
+                            return
                     try:
                         conn.sendall(encode_line(reply))
                     except OSError:

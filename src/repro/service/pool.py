@@ -1,26 +1,45 @@
 """Sharded tuning across a long-lived worker pool with record streaming.
 
 For workloads whose search spaces are too large for one process, the pool
-shards a batch of :class:`~repro.service.TuningRequest` across worker
-processes.  Each worker runs its own :class:`~repro.service.TuningService`
+shards :class:`~repro.service.TuningRequest` traffic across worker
+processes.  Each shard runs its own :class:`~repro.service.TuningService`
 (so coalescing and cross-request batching still apply *within* a shard) with
 its own private :class:`~repro.core.autotune.database.TuningDatabase`.
 
-Unlike a batch pool that only merges worker databases at workload
-completion, the workers here are **streaming**: every time a run completes,
-the worker captures the records that changed its database
+**One execution path.**  The pool is a long-lived serving fleet —
+:meth:`~TuningWorkerPool.start` brings the shards up,
+:meth:`~TuningWorkerPool.submit` routes one request at a time to its shard
+and returns a per-request :class:`~repro.service.futures.TuningFuture`
+immediately, :meth:`~TuningWorkerPool.step` pumps the fleet one round, and
+:meth:`~TuningWorkerPool.stop` drains and retires it; this is what backs the
+daemon.  A batch :meth:`~TuningWorkerPool.tune` is the same session run to
+completion: it answers what the caller's database already covers, brings
+the fleet up with one shard per placement group, enqueues every remaining
+request on its shard and stops.  Every shard runs the same loop — admit
+backlog into the window, run one scheduling round, report each settled
+ticket — either in a worker process (:func:`_serve_shard`) or as an
+in-parent :class:`_ShardRunner` advanced by the parent's pump.
+
+**Streaming** (the default): every time a run completes, the shard captures
+the records that changed its database
 (:meth:`~repro.core.autotune.database.TuningDatabase.changes_since`) and
-ships them to the parent over a results queue as serializable
+ships them to the parent as serializable
 :class:`~repro.core.autotune.database.RecordEnvelope` payloads.  The parent
 folds each arriving record into the shared database immediately (monotonic
 keep-better ``apply``) and pushes the winners down every *other* shard's
-sync queue; workers drain their sync queue between scheduling rounds
+sync queue; shards inject them between scheduling rounds
 (:meth:`~repro.service.scheduler.TuningService.inject_records`), so their
 submit-time database serving sees cross-shard bests mid-workload: a problem
 shard A already solved is never re-tuned by shard B's not-yet-admitted
-requests.  Workers admit their backlog incrementally (``admit_window`` runs
+requests.  Shards admit their backlog incrementally (``admit_window`` runs
 at a time) precisely so that later requests still *are* "new submits" when a
 cross-shard record lands.
+
+**Merge-at-end** (``streaming=False``, the conservative mode and the
+benchmark reference the exchange is gated against): shards ship no records
+mid-run, the parent broadcasts nothing, each shard admits its whole backlog
+up front, and records reach the shared database only from each shard's
+final report.
 
 Invariants the streaming layer preserves:
 
@@ -35,37 +54,34 @@ Invariants the streaming layer preserves:
   re-broadcast, so an echoed record dies at the first database that already
   holds it.
 
-Sharding is by request identity: identical requests always land in the same
-shard, so duplicates coalesce in-process instead of being tuned twice in two
-workers.
+Placement keeps identical requests in one shard, so duplicates coalesce
+in-process instead of being tuned twice in two workers.  A batch ``tune()``
+knows its whole workload and places it round-robin over distinct requests
+(duplicates follow their first occurrence), which balances the shards;
+serving-mode ``submit()`` sees one request at a time and hashes the
+request's idempotency digest (:func:`~repro.service.journal.request_id` —
+the coalescing key minus ``deadline``), so identical rids land in the same
+shard across submits and restarts, which Python's per-process salted
+``hash()`` could not guarantee.
 
-Fault tolerance: a worker that dies mid-workload (killed, crashed) is
-detected by the parent, which degrades gracefully — the dead worker's shard
-is re-run in-process against the shared database (so records the worker
-streamed before dying are not re-tuned) and the failure is counted in
-:attr:`TuningWorkerPool.stats`.  Malformed sync payloads ("poisoned
-envelopes") are dropped and counted, never applied.  When no worker
-processes can be created at all — restricted sandboxes, missing semaphores —
-the pool degrades to a deterministic in-process serial interleaving of the
-shards with the same streaming semantics, producing the same results.
+A batch worker holds its first scheduling round until the stop sentinel
+arrives, so every request of the ``tune()`` call is in its backlog before
+it admits anything: process-mode admission is exactly the in-parent one.
 
-**Serving mode** (the daemon's deployment shape): besides the batch entry
-point :meth:`TuningWorkerPool.tune`, the pool has a long-lived
-submit/drain-incremental mode — :meth:`~TuningWorkerPool.start` brings up
-the shard fleet with empty backlogs, :meth:`~TuningWorkerPool.submit`
-routes one request at a time to its shard and returns a per-request
-:class:`~repro.service.futures.TuningFuture` immediately, and
-:meth:`~TuningWorkerPool.step` pumps the fleet one round (drain streamed
-records and per-request completions, advance in-parent shards, detect dead
-workers).  Serving-mode shard assignment is a stable hash of the request's
-idempotency digest (:func:`~repro.service.journal.request_id` — the
-coalescing key minus ``deadline``), so identical rids always land in the
-same shard and coalesce there, across submits and restarts; Python's
-per-process salted ``hash()`` could guarantee neither.  The fault model is
-the batch one, made incremental: a SIGKILLed serving worker fails over to
-an in-parent runner against the shared database (durable shard logs are
-salvaged first), unresolved tickets re-enqueue there, and the pool — and
-whatever daemon sits above it — keeps serving throughout.
+Fault tolerance is one model for every way a worker can fail: a worker that
+dies (killed, crashed), reports an error, or sends a malformed completion
+report is failed over — its durable shard log (``store_dir``) is salvaged
+into the shared database, the process is terminated, and its unresolved
+tickets re-run in an in-parent runner against the shared database, so
+records the worker streamed or persisted before failing are served, not
+re-tuned; the failure is counted in :attr:`TuningWorkerPool.stats`.
+Liveness is judged by process death, never by silence: a healthy worker may
+spend arbitrarily long on one round.  Malformed sync payloads and corrupted
+results-queue messages ("poisoned envelopes") are dropped and counted, never
+applied.  When no worker processes can be created at all — restricted
+sandboxes, missing semaphores — the pool degrades to a deterministic
+in-process interleaving of the shards with the same semantics, producing
+the same results.
 """
 
 from __future__ import annotations
@@ -103,10 +119,11 @@ from .scheduler import ServiceStats, TuningService
 
 __all__ = ["PoolStats", "TuningWorkerPool"]
 
-#: parent's poll interval on the results queue while workers run.
+#: parent's bounded wait on the results queue while stop() waits for the
+#: workers' final reports (pacing only: never a liveness deadline).
 _POLL_SECONDS = 0.2
 #: empty polls after noticing a dead worker before declaring its shard lost
-#: (a worker may exit healthily with its "done" message still in the pipe).
+#: (a worker may exit healthily with its final message still in the pipe).
 _DEATH_GRACE_POLLS = 3
 #: serving worker's idle pacing between loop iterations (pacing only).
 _SERVE_IDLE_SLEEP = 0.005
@@ -118,7 +135,8 @@ _SERVE_PARENT_WAIT = 0.005
 
 @dataclass
 class PoolStats:
-    """Accounting of one :meth:`TuningWorkerPool.tune` workload.
+    """Accounting of one :meth:`TuningWorkerPool.tune` workload or serving
+    session.
 
     Like :class:`~repro.service.scheduler.ServiceStats`, this is a *snapshot
     view* since the registry migration: the live counts are thread-safe
@@ -139,12 +157,13 @@ class PoolStats:
     records_applied: int = 0
     #: malformed payloads dropped by the parent or a worker.
     poisoned_envelopes: int = 0
-    #: workers that died mid-workload (their shards re-ran in the parent).
+    #: workers failed over to the parent (died, errored, or sent a
+    #: malformed completion report).
     worker_failures: int = 0
     #: records recovered from a dead worker's shard log (``store_dir``
     #: pools only): work the worker persisted but never got to stream.
     records_recovered: int = 0
-    # Aggregates over every shard service (plus in-parent recovery reruns):
+    # Aggregates over every shard service (plus in-parent failover runners):
     measurements: int = 0
     tuning_runs: int = 0
     database_hits: int = 0
@@ -201,6 +220,28 @@ def _drain(q) -> List[object]:
     return items
 
 
+def _is_outcome(outcome: object) -> bool:
+    """A well-formed ``done_one`` outcome: ``("ok", TuningResult)`` or
+    ``("err", error_wire_dict)``."""
+    if not (isinstance(outcome, tuple) and len(outcome) == 2):
+        return False
+    kind, payload = outcome
+    return (kind == "ok" and isinstance(payload, TuningResult)) or (
+        kind == "err" and isinstance(payload, dict)
+    )
+
+
+def _is_final_report(payload: object) -> bool:
+    """A well-formed ``bye`` payload (see :func:`_serve_shard`)."""
+    return (
+        isinstance(payload, dict)
+        and isinstance(payload.get("stats"), ServiceStats)
+        and isinstance(payload.get("metrics"), dict)
+        and isinstance(payload.get("records"), list)
+        and isinstance(payload.get("poisoned"), int)
+    )
+
+
 class _ShardRunner:
     """Drive one shard's service incrementally: sync -> admit -> step.
 
@@ -234,24 +275,16 @@ class _ShardRunner:
             database = TuningDatabase(store=LogStore(store_path))
         self.service = TuningService(database=database, policy=policy, obs=obs)
         self.admit_window = admit_window
-        #: backlog of (shard position, request); duplicates may be admitted
-        #: out of backlog order (to coalesce onto their twin's in-flight
-        #: run), so futures are keyed by position, not appended.
+        #: backlog of (ticket, request); duplicates may be admitted out of
+        #: backlog order (to coalesce onto their twin's in-flight run), so
+        #: futures are keyed by ticket, not appended.
         self.pending: Deque[Tuple[int, TuningRequest]] = deque(enumerate(requests))
         self.futures: Dict[int, object] = {}
-        self._num_requests = len(self.pending)
         self._checkpoint = self.service.database.revision
 
-    def enqueue(self, position: int, request: TuningRequest) -> None:
-        """Append one request to the backlog (serving mode).
-
-        ``position`` is the caller's ticket — serving-mode positions are
-        caller-assigned and need not be contiguous; :meth:`results` (which
-        assumes the batch mode's dense ``0..n-1`` numbering) is not used on
-        serving runners.
-        """
-        self.pending.append((position, request))
-        self._num_requests += 1
+    def enqueue(self, ticket: int, request: TuningRequest) -> None:
+        """Append one request to the backlog under the caller's ``ticket``."""
+        self.pending.append((ticket, request))
 
     def sync(self, records: Sequence[TuningRecord]) -> int:
         """Inject cross-shard records; returns how many improved the shard."""
@@ -275,7 +308,7 @@ class _ShardRunner:
         pending) — by then every future is answered.
         """
         while self.pending:
-            position, head = self.pending[0]
+            ticket, head = self.pending[0]
             coalesces = self.service.coalescer.get(head) is not None
             if (
                 not coalesces
@@ -284,17 +317,17 @@ class _ShardRunner:
             ):
                 break
             self.pending.popleft()
-            self.futures[position] = self.service.submit(head)
+            self.futures[ticket] = self.service.submit(head)
             if self.service.coalescer.get(head) is not None:
                 # The request is now in flight: pull its backlog duplicates
                 # forward so they ride the run instead of re-tuning after
                 # it retires.
                 remaining: Deque[Tuple[int, TuningRequest]] = deque()
-                for later_position, later in self.pending:
+                for later_ticket, later in self.pending:
                     if later == head:
-                        self.futures[later_position] = self.service.submit(later)
+                        self.futures[later_ticket] = self.service.submit(later)
                     else:
-                        remaining.append((later_position, later))
+                        remaining.append((later_ticket, later))
                 self.pending = remaining
         return self.service.step() or bool(self.pending)
 
@@ -302,13 +335,6 @@ class _ShardRunner:
         new = self.service.database.changes_since(self._checkpoint)
         self._checkpoint = self.service.database.revision
         return new
-
-    def results(self) -> List[TuningResult]:
-        """Shard results in shard submission order (position-keyed)."""
-        return [
-            self.futures[position].result(timeout=0)
-            for position in range(self._num_requests)
-        ]
 
     def drain_store(self) -> None:
         """Retire the shard's database: flush durable state, then close.
@@ -331,111 +357,6 @@ class _ShardRunner:
         self.service.database.close()
 
 
-def _tune_shard(
-    requests: Sequence[TuningRequest],
-    policy: Optional[SchedulingPolicy] = None,
-    obs_enabled: bool = False,
-) -> Tuple[List[TuningResult], List[dict], ServiceStats, dict]:
-    """Merge-at-end worker: run one whole shard through a private service.
-
-    Module-level so it pickles under every start method.  Returns the
-    shard's results (in shard submission order), the worker database as
-    plain dicts ready for the parent to merge, the shard's accounting, and
-    a metrics-snapshot wire dict for the parent's fleet view.
-
-    :class:`~repro.obs.Observability` holds locks and ring buffers and is
-    deliberately not picklable, so the parent sends only ``obs_enabled`` and
-    the worker builds its own bundle (real monotonic clock — a worker entry
-    point is an edge of the system, where real clocks are allowed).
-    """
-    obs = Observability(enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None)
-    service = TuningService(policy=policy, obs=obs)
-    results = service.tune(list(requests))
-    wire = service.metrics_snapshot().merged(obs.snapshot()).to_wire()
-    return results, [r.to_dict() for r in service.database.records()], service.stats, wire
-
-
-def _stream_shard(
-    shard_index: int,
-    requests: Sequence[TuningRequest],
-    policy: Optional[SchedulingPolicy],
-    admit_window: int,
-    sync_queue,
-    results_queue,
-    obs_enabled: bool = False,
-    store_path: Optional[str] = None,
-) -> None:
-    """Streaming worker entry point (module-level: pickles everywhere).
-
-    Runs the shard through a :class:`_ShardRunner`; between scheduling
-    rounds it drains the sync queue (dropping poisoned envelopes) and ships
-    every newly stored record to the parent.  Ends with a ``("done", ...)``
-    message carrying results, accounting, a metrics-snapshot wire dict
-    (``obs_enabled`` telemetry — the worker builds its own
-    :class:`~repro.obs.Observability`, since the parent's is not picklable)
-    and the full shard database (a final merge-at-end safety net in case any
-    streamed message was lost); any crash becomes an ``("error", ...)``
-    message instead of a silent death.
-    """
-    try:
-        obs = Observability(
-            enabled=obs_enabled, clock=MonotonicClock() if obs_enabled else None
-        )
-        runner = _ShardRunner(
-            requests,
-            policy=policy,
-            admit_window=admit_window,
-            obs=obs,
-            store_path=store_path,
-        )
-        poisoned = 0
-        while True:
-            incoming: List[TuningRecord] = []
-            for wire in _drain(sync_queue):
-                envelope = _decode_envelope(wire)
-                if envelope is None:
-                    poisoned += 1
-                else:
-                    incoming.append(envelope.record)
-            runner.sync(incoming)
-            progressed = runner.step()
-            for record in runner.take_new_records():
-                envelope = RecordEnvelope(
-                    record=record,
-                    origin=shard_index,
-                    revision=runner.service.database.revision,
-                )
-                results_queue.put(("record", shard_index, envelope.to_wire()))
-            if not progressed:
-                break
-        results_queue.put(
-            (
-                "done",
-                shard_index,
-                {
-                    "results": runner.results(),
-                    "stats": runner.service.stats,
-                    "metrics": runner.service.metrics_snapshot()
-                    .merged(obs.snapshot())
-                    .to_wire(),
-                    "records": [r.to_dict() for r in runner.service.database.records()],
-                    "poisoned": poisoned,
-                },
-            )
-        )
-    except BaseException as exc:  # pragma: no cover - exercised via kill tests
-        try:
-            results_queue.put(
-                ("error", shard_index, f"{type(exc).__name__}: {exc}")
-            )
-        except Exception:
-            pass
-    else:
-        # Graceful worker exit = a drained shard: durable stores are
-        # compacted before close so a restart replays a short tail.
-        runner.drain_store()
-
-
 def _serve_shard(
     shard_index: int,
     policy: Optional[SchedulingPolicy],
@@ -445,20 +366,33 @@ def _serve_shard(
     results_queue,
     obs_enabled: bool = False,
     store_path: Optional[str] = None,
+    streaming: bool = True,
+    batch: bool = False,
 ) -> None:
-    """Long-lived serving worker entry point (module-level: pickles everywhere).
+    """The pool's worker entry point (module-level: pickles everywhere).
 
-    The incremental sibling of :func:`_stream_shard`: the backlog arrives
-    one request at a time over ``submit_queue`` as ``("submit", ticket,
-    request)`` messages instead of up front, and every settled ticket is
-    reported individually as ``("done_one", shard, ticket, outcome)`` where
-    ``outcome`` is ``("ok", result)`` or ``("err", error_wire)`` — typed
-    errors travel as their wire dicts so the parent re-raises the same
-    class.  Records stream exactly as in batch mode.  A ``("stop",)``
-    sentinel finishes in-flight work, ships a final ``("bye", ...)`` report
-    (stats, metrics, full-database safety net) and exits gracefully; any
-    crash becomes an ``("error", ...)`` message and the parent fails the
-    shard over.
+    The backlog arrives over ``submit_queue`` as ``("submit", ticket,
+    request)`` messages, and every settled ticket is reported individually
+    as ``("done_one", shard, ticket, outcome)`` where ``outcome`` is
+    ``("ok", result)`` or ``("err", error_wire)`` — typed errors travel as
+    their wire dicts so the parent re-raises the same class.  A streaming
+    worker injects the records arriving on ``sync_queue`` between rounds and
+    ships every newly stored record as ``("record", shard, envelope_wire)``;
+    a merge-at-end worker ships none.  A ``("stop",)`` sentinel finishes
+    in-flight work, ships a final ``("bye", shard, report)`` (stats, a
+    metrics-snapshot wire dict, the full shard database — the merge-at-end
+    fold and a safety net for any lost stream message — and the poisoned
+    count) and exits gracefully; any crash becomes an ``("error", ...)``
+    message and the parent fails the shard over.
+
+    ``batch`` holds the first scheduling round until the stop sentinel
+    arrives: a batch ``tune()`` enqueues its whole workload and then stops,
+    so the shard admits exactly that backlog.
+
+    :class:`~repro.obs.Observability` holds locks and ring buffers and is
+    deliberately not picklable, so the parent sends only ``obs_enabled`` and
+    the worker builds its own bundle (real monotonic clock — a worker entry
+    point is an edge of the system, where real clocks are allowed).
     """
     try:
         obs = Observability(
@@ -474,7 +408,8 @@ def _serve_shard(
         poisoned = 0
         stopping = False
         while True:
-            submits = _drain(submit_queue)
+            holding = batch and not stopping
+            submits = [submit_queue.get()] if holding else _drain(submit_queue)
             for message in submits:
                 if message == ("stop",):
                     stopping = True
@@ -488,6 +423,8 @@ def _serve_shard(
                     runner.enqueue(message[1], message[2])
                 else:
                     poisoned += 1
+            if holding:
+                continue
             incoming: List[TuningRecord] = []
             for wire in _drain(sync_queue):
                 envelope = _decode_envelope(wire)
@@ -497,7 +434,7 @@ def _serve_shard(
                     incoming.append(envelope.record)
             runner.sync(incoming)
             progressed = runner.step()
-            for record in runner.take_new_records():
+            for record in runner.take_new_records() if streaming else ():
                 envelope = RecordEnvelope(
                     record=record,
                     origin=shard_index,
@@ -542,45 +479,54 @@ def _serve_shard(
         except Exception:
             pass
     else:
+        # Graceful worker exit = a drained shard: durable stores are
+        # compacted before close so a restart replays a short tail.
         runner.drain_store()
 
 
 class TuningWorkerPool:
     """Shard tuning workloads across processes, streaming records between them.
 
-    ``streaming=True`` (default) exchanges best-known records mid-workload as
-    described in the module docstring; ``streaming=False`` is the classic
-    batch pool (run every shard to completion, merge databases at the end) —
-    kept both as the conservative mode and as the benchmark reference the
-    streamed exchange is gated against.
+    One execution path (see the module docstring): :meth:`start` /
+    :meth:`submit` / :meth:`step` / :meth:`stop` run a long-lived serving
+    session, and :meth:`tune` is a whole batch run through that session.
 
-    ``admit_window`` bounds how many runs each shard keeps active at once
-    (``<= 0`` = admit the whole backlog up front).  Smaller windows trade a
-    little packing density for more submit-time serving opportunities.
+    ``streaming=True`` (default) exchanges best-known records mid-workload;
+    ``streaming=False`` is merge-at-end (every shard admits its backlog up
+    front, records merge from the shards' final reports) — kept both as the
+    conservative mode and as the benchmark reference the streamed exchange
+    is gated against.
+
+    ``admit_window`` bounds how many runs each streaming shard keeps active
+    at once (``<= 0`` = admit the whole backlog up front).  Smaller windows
+    trade a little packing density for more submit-time serving
+    opportunities.
 
     ``use_processes`` forces the execution mode: ``None`` (default) tries
-    processes and falls back to the deterministic serial interleaving,
-    ``False`` always runs serially in-process, ``True`` requires processes
-    (raises where they are unavailable).  Workloads that fit one shard
-    always run serially — a pool buys nothing there.
+    processes and falls back to the deterministic in-process interleaving,
+    ``False`` always runs in-process, ``True`` requires processes (raises
+    where they are unavailable).  Sessions with one shard always run
+    in-process — a pool buys nothing there.
 
     ``obs`` is an optional :class:`~repro.obs.Observability` bundle for the
-    telemetry extras (stream counters, worker lifecycle events, sync-queue
+    telemetry extras (stream counters, shard lifecycle events, sync-queue
     depths, spans).  The accounting behind :attr:`stats` is always live.
     Worker processes cannot share the parent's bundle (it is not picklable),
     so each worker builds its own when observability is enabled and ships a
-    metrics snapshot back in its ``done`` report; :meth:`fleet_snapshot`
+    metrics snapshot back in its final report; :meth:`fleet_snapshot`
     merges the shards' snapshots with the parent's into one fleet view.
 
-    ``store_dir`` makes streaming shards durable: shard ``i``'s private
-    database is backed by an append-only
-    :class:`~repro.core.autotune.store.LogStore` at
+    ``store_dir`` makes shards durable: shard ``i``'s private database is
+    backed by an append-only :class:`~repro.core.autotune.store.LogStore` at
     ``<store_dir>/shard-<i>.log``, so every effective put survives the
     worker process.  A restarted worker recovers its records from the log
-    instead of re-tuning them, and when a worker dies mid-workload the
-    parent recovers its log directly — records the worker persisted but
-    never streamed are folded into the shared database before the shard's
+    instead of re-tuning them, and when a worker fails over the parent
+    recovers its log directly — records the worker persisted but never
+    streamed are folded into the shared database before the shard's
     in-parent rerun (counted in :attr:`PoolStats.records_recovered`).
+
+    The pool is not thread-safe; the daemon above serialises every call
+    under its own lock, and direct users must do the same.
     """
 
     def __init__(
@@ -609,21 +555,21 @@ class TuningWorkerPool:
         #: directory for durable per-shard record logs (None = in-memory
         #: shard databases, the default).
         self.store_dir = os.fspath(store_dir) if store_dir is not None else None
-        #: True when the last workload ran in worker processes (False = the
-        #: serial in-process interleaving was used).
+        #: True when the last session ran in worker processes (False = the
+        #: in-process interleaving was used).
         self.used_processes = False
         self.obs = obs if obs is not None else NULL_OBS
-        # Observability extras: cumulative across workloads (unlike the
-        # per-workload accounting), all null no-ops when obs is disabled.
+        # Observability extras: cumulative across sessions (unlike the
+        # per-session accounting), all null no-ops when obs is disabled.
+        # A "worker" here is a shard, whether a process or an in-parent
+        # runner, so the fleet view is the same in both modes.
         reg = self.obs.registry
         self._o_envelopes = reg.counter("pool.stream.envelopes")
         self._o_workers_started = reg.counter("pool.workers.started")
         self._o_workers_done = reg.counter("pool.workers.done")
         self._o_workers_failed = reg.counter("pool.workers.failed")
         self._o_sync_depth = reg.gauge("pool.sync.queue_depth")
-        # Long-lived serving mode state (inert until start()).  The pool is
-        # not thread-safe; the daemon above serialises every call under its
-        # own lock, and direct users must do the same.
+        # Session state (inert until a session starts; cleared when it ends).
         self._serving = False
         self._serve_shards = 0
         self._serve_exchange: Optional[TuningDatabase] = None
@@ -641,7 +587,7 @@ class TuningWorkerPool:
         self._reset_accounting(streaming=False)
 
     def _reset_accounting(self, streaming: bool) -> None:
-        """Fresh per-workload accounting registry (called by every tune)."""
+        """Fresh per-session accounting registry (every tune and start)."""
         self._metrics = MetricsRegistry()
         acc = self._metrics.scope("pool")
         self._c_requests = acc.counter("requests")
@@ -659,7 +605,7 @@ class TuningWorkerPool:
         self._stats_mode = "unused"
         self._stats_streaming = streaming
         #: merged shard telemetry (worker wire snapshots in process mode,
-        #: shard-service accounting in serial mode) for :meth:`fleet_snapshot`.
+        #: shard-service accounting in-process) for :meth:`fleet_snapshot`.
         self._shard_metrics = MetricsSnapshot()
 
     @property
@@ -708,7 +654,7 @@ class TuningWorkerPool:
         self._shard_metrics = self._shard_metrics.merged(snapshot)
 
     def fleet_snapshot(self) -> MetricsSnapshot:
-        """One merged telemetry view of the last workload's whole fleet.
+        """One merged telemetry view of the last session's whole fleet.
 
         Pool-level accounting (``pool.*``), the parent's observability
         extras, and every shard's shipped/absorbed telemetry (``service.*``
@@ -724,32 +670,26 @@ class TuningWorkerPool:
         return snapshot.merged(self.obs.snapshot())
 
     # ------------------------------------------------------------------ #
-    def _shard(
-        self, requests: Sequence[TuningRequest]
-    ) -> Tuple[List[List[TuningRequest]], List[Tuple[int, int]]]:
+    def _shard(self, requests: Sequence[TuningRequest]) -> Tuple[int, List[int]]:
         """Round-robin distinct requests over shards; duplicates follow their
         first occurrence so they coalesce inside one worker.
 
-        ``placement`` indexes into the returned shard list, so every shard is
-        returned even in the (currently impossible: the shard count never
-        exceeds the distinct-request count) case of an empty one.
+        Returns the shard count (never more than the distinct requests, so
+        no shard is empty) and each request's shard.
         """
         num_shards = max(1, min(self.num_workers, len(set(requests)) or 1))
-        shards: List[List[TuningRequest]] = [[] for _ in range(num_shards)]
         shard_of: dict = {}
-        placement: List[Tuple[int, int]] = []
+        placement: List[int] = []
         for request in requests:
             shard = shard_of.get(request)
             if shard is None:
-                shard = len(shard_of) % num_shards
-                shard_of[request] = shard
-            shards[shard].append(request)
-            placement.append((shard, len(shards[shard]) - 1))
-        return shards, placement
+                shard = shard_of[request] = len(shard_of) % num_shards
+            placement.append(shard)
+        return num_shards, placement
 
     def _shard_store_path(self, index: int) -> Optional[str]:
-        """The durable log location for streaming shard ``index`` (None
-        when the pool was built without ``store_dir``)."""
+        """The durable log location for shard ``index`` (None when the pool
+        was built without ``store_dir``)."""
         if self.store_dir is None:
             return None
         return os.path.join(self.store_dir, f"shard-{index}.log")
@@ -784,6 +724,29 @@ class TuningWorkerPool:
         methods = multiprocessing.get_all_start_methods()
         return multiprocessing.get_context("fork" if "fork" in methods else None)
 
+    @property
+    def _admit_window(self) -> int:
+        """Shard admission window: merge-at-end shards admit everything up
+        front (nothing can arrive to serve a held-back request)."""
+        return self.admit_window if self.streaming else 0
+
+    @staticmethod
+    def _covering_record(
+        database: TuningDatabase, request: TuningRequest
+    ) -> Optional[TuningRecord]:
+        """The record that answers ``request`` with zero measurements, if
+        any (unpruned requests are never database-served)."""
+        if not request.pruned:
+            return None
+        return database.lookup(
+            request.params,
+            request.spec,
+            request.algorithm,
+            budget=request.max_measurements,
+            noise=request.noise,
+            noise_seed=request.noise_seed,
+        )
+
     # ------------------------------------------------------------------ #
     def tune(
         self,
@@ -794,10 +757,10 @@ class TuningWorkerPool:
 
         ``database`` (optional) plays the same role as the in-process
         service's shared database: requests it already covers are served in
-        the parent with zero measurements (workers never see them), records
-        streamed back mid-workload are folded into it immediately, and when
-        the workload finishes it holds every worker's records (the final
-        merge is a keep-better no-op for anything already streamed).
+        the parent with zero measurements (no shard starts for them),
+        records streamed back mid-workload are folded into it immediately,
+        and when the workload finishes it holds every shard's records (the
+        final merge is a keep-better no-op for anything already streamed).
         """
         if self._serving:
             raise RuntimeError(
@@ -810,360 +773,38 @@ class TuningWorkerPool:
             return []
         self._c_requests.inc(len(requests))
         # Serve covered requests from the caller's database up front, exactly
-        # like TuningService.submit does — workers start with empty private
+        # like TuningService.submit does — shards start with empty private
         # databases and must not re-tune what the caller already knows.
-        served: dict = {}
-        pending_indices: List[int] = []
+        served: Dict[int, TuningResult] = {}
+        pending: List[int] = []
         for i, request in enumerate(requests):
-            record = None
-            if database is not None and request.pruned:
-                record = database.lookup(
-                    request.params,
-                    request.spec,
-                    request.algorithm,
-                    budget=request.max_measurements,
-                    noise=request.noise,
-                    noise_seed=request.noise_seed,
-                )
+            record = None if database is None else self._covering_record(database, request)
             if record is not None:
                 served[i] = record.as_result()
             else:
-                pending_indices.append(i)
+                pending.append(i)
         self._c_pre_served.inc(len(served))
-        if not pending_indices:
+        if not pending:
             self.used_processes = False
             self._stats_mode = "serial"
             return [served[i] for i in range(len(requests))]
-        pending = [requests[i] for i in pending_indices]
-        shards, placement = self._shard(pending)
-        self._c_shards.inc(len(shards))
-        #: the cross-shard exchange point: the caller's database when given
-        #: (so streamed records are visible to the caller mid-workload),
-        #: otherwise a workload-private one.
-        exchange = database if database is not None else TuningDatabase()
-
-        shard_results: Optional[Dict[int, List[TuningResult]]] = None
-        if len(shards) > 1 and self.use_processes is not False:
-            try:
-                shard_results = self._run_processes(shards, exchange)
-                self.used_processes = True
-            except (OSError, PermissionError, ImportError):
-                if not self.allow_serial_fallback or self.use_processes is True:
-                    raise
-        if shard_results is None:
-            shard_results = self._run_serial(shards, exchange)
-            self.used_processes = False
-        self._stats_mode = "processes" if self.used_processes else "serial"
-
-        for i, (shard, pos) in zip(pending_indices, placement):
-            served[i] = shard_results[shard][pos]
-        return [served[i] for i in range(len(requests))]
-
-    # -- serial in-process execution ------------------------------------ #
-    def _run_serial(
-        self, shards: List[List[TuningRequest]], exchange: TuningDatabase
-    ) -> Dict[int, List[TuningResult]]:
-        if not self.streaming:
-            outputs: Dict[int, List[TuningResult]] = {}
-            for i, shard in enumerate(shards):
-                results, record_dicts, stats, wire = _tune_shard(
-                    shard, self.policy, obs_enabled=self.obs.enabled
-                )
-                exchange.apply(TuningRecord.from_dict(d) for d in record_dicts)
-                self._absorb(stats)
-                self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
-                outputs[i] = results
-            return outputs
-        # Streaming: interleave the shards round-robin, one scheduling round
-        # each, exchanging records between rounds.  Deterministic — the same
-        # workload always yields the same serving pattern and measurement
-        # count, which is what the streaming benchmark gates on.
-        runners = [
-            _ShardRunner(
-                shard,
-                policy=self.policy,
-                admit_window=self.admit_window,
-                obs=self.obs,
-                store_path=self._shard_store_path(i),
-            )
-            for i, shard in enumerate(shards)
-        ]
-        inboxes: List[List[TuningRecord]] = [[] for _ in shards]
-        unfinished = list(range(len(shards)))
-        while unfinished:
-            still_running: List[int] = []
-            for i in unfinished:
-                runner = runners[i]
-                self._o_sync_depth.set(len(inboxes[i]))
-                runner.sync(inboxes[i])
-                inboxes[i] = []
-                progressed = runner.step()
-                for record in runner.take_new_records():
-                    self._c_records_streamed.inc()
-                    self._o_envelopes.inc()
-                    applied = exchange.apply([record])
-                    if applied:
-                        self._c_records_applied.inc()
-                        # Broadcast what apply() kept, not the raw incoming
-                        # record: on a collision the exchange's surviving
-                        # (faster / budget-upgraded) record is the one the
-                        # other shards must serve from.
-                        for j in range(len(runners)):
-                            if j != i:
-                                inboxes[j].append(applied[0])
-                if progressed:
-                    still_running.append(i)
-            unfinished = still_running
-        outputs = {}
-        for i, runner in enumerate(runners):
-            exchange.apply(runner.service.database)
-            runner.drain_store()
-            self._absorb(runner.service.stats)
-            # Serial shards share self.obs, so their extras are already in
-            # the parent registry — only the per-service accounting needs
-            # merging here (process workers ship both over the wire).
-            self._merge_shard_metrics(runner.service.metrics_snapshot())
-            outputs[i] = runner.results()
-        return outputs
-
-    # -- worker-process execution ---------------------------------------- #
-    def _run_processes(
-        self, shards: List[List[TuningRequest]], exchange: TuningDatabase
-    ) -> Dict[int, List[TuningResult]]:
-        if not self.streaming:
-            ctx = self._context()
-            with ctx.Pool(processes=len(shards)) as pool:
-                shard_outputs = pool.starmap(
-                    _tune_shard,
-                    [(s, self.policy, self.obs.enabled) for s in shards],
-                )
-            outputs = {}
-            for i, (results, record_dicts, stats, wire) in enumerate(shard_outputs):
-                exchange.apply(TuningRecord.from_dict(d) for d in record_dicts)
-                self._absorb(stats)
-                self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
-                outputs[i] = results
-            return outputs
-        return self._run_streaming_processes(shards, exchange)
-
-    def _ingest_record(
-        self,
-        wire: object,
-        origin: int,
-        exchange: TuningDatabase,
-        sync_queues: Optional[list],
-    ) -> None:
-        """Fold one streamed envelope into the shared database and, when it
-        improved it, forward it to every shard but the sender."""
-        envelope = _decode_envelope(wire)
-        if envelope is None:
-            self._c_poisoned.inc()
-            return
-        self._c_records_streamed.inc()
-        self._o_envelopes.inc()
-        applied = exchange.apply([envelope.record])
-        if applied:
-            self._c_records_applied.inc()
-            if sync_queues is not None:
-                # Forward what apply() kept, not the original wire: on a
-                # collision (e.g. with a faster caller-database record) the
-                # exchange's surviving record is the servable best.
-                winner = RecordEnvelope(
-                    record=applied[0], origin=origin, revision=exchange.revision
-                ).to_wire()
-                for j, sync_queue in enumerate(sync_queues):
-                    if j != origin:
-                        sync_queue.put(winner)
-                if self.obs.enabled:
-                    try:
-                        depth = max(q.qsize() for q in sync_queues)
-                    except NotImplementedError:  # pragma: no cover - macOS
-                        depth = 0
-                    self._o_sync_depth.set(depth)
-
-    def _handle_message(
-        self,
-        message: object,
-        outputs: Dict[int, dict],
-        failures: Dict[int, str],
-        exchange: TuningDatabase,
-        sync_queues: Optional[list],
-        shards: List[List[TuningRequest]],
-    ) -> None:
-        """Validate and dispatch one results-queue message.
-
-        A corrupted message is the same failure class as a poisoned
-        envelope: dropped and counted, never allowed to crash the parent.
-        A "done" report that fails validation (wrong payload shape, wrong
-        result count) marks its shard failed instead — the shard then
-        degrades to the in-parent recovery rerun like a dead worker.
-        """
-        if not (isinstance(message, tuple) and len(message) == 3):
-            self._c_poisoned.inc()
-            return
-        tag, index, payload = message
-        if (
-            not isinstance(index, int)
-            or isinstance(index, bool)
-            or not 0 <= index < len(shards)
-        ):
-            self._c_poisoned.inc()
-            return
-        if tag == "record":
-            self._ingest_record(payload, index, exchange, sync_queues)
-        elif tag == "done":
-            if index in outputs or index in failures:
-                self._c_poisoned.inc()
-            elif (
-                isinstance(payload, dict)
-                and isinstance(payload.get("results"), list)
-                and len(payload["results"]) == len(shards[index])
-            ):
-                outputs[index] = payload
-            else:
-                failures[index] = "malformed completion report"
-        elif tag == "error":
-            if index not in outputs and index not in failures:
-                failures[index] = str(payload)
-        else:
-            self._c_poisoned.inc()
-
-    def _run_streaming_processes(
-        self, shards: List[List[TuningRequest]], exchange: TuningDatabase
-    ) -> Dict[int, List[TuningResult]]:
-        ctx = self._context()
-        results_queue = ctx.Queue()
-        sync_queues = [ctx.Queue() for _ in shards]
-        workers: list = []
+        num_shards, placement = self._shard([requests[i] for i in pending])
+        self._bring_up(database, num_shards, batch=True)
         try:
-            for i, shard in enumerate(shards):
-                process = ctx.Process(
-                    target=_stream_shard,
-                    args=(
-                        i,
-                        list(shard),
-                        self.policy,
-                        self.admit_window,
-                        sync_queues[i],
-                        results_queue,
-                        self.obs.enabled,
-                        self._shard_store_path(i),
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                self._o_workers_started.inc()
-                workers.append(process)
+            futures = {
+                i: self._enqueue(requests[i], shard)
+                for i, shard in zip(pending, placement)
+            }
+            self.stop()
         except BaseException:
-            for process in workers:
-                process.terminate()
+            self.terminate()
             raise
+        return [
+            served[i] if i in served else futures[i].result(timeout=0)
+            for i in range(len(requests))
+        ]
 
-        outputs: Dict[int, dict] = {}
-        failures: Dict[int, str] = {}
-        dead_polls: Dict[int, int] = {}
-
-        def note_silent_deaths() -> None:
-            # Check for workers that died without a word (killed mid-run).
-            # A few grace polls let a healthy exit's final message finish
-            # travelling the pipe.
-            for i, process in enumerate(workers):
-                if i in outputs or i in failures or process.is_alive():
-                    continue
-                dead_polls[i] = dead_polls.get(i, 0) + 1
-                if dead_polls[i] >= _DEATH_GRACE_POLLS:
-                    failures[i] = (
-                        f"worker {i} died without reporting "
-                        f"(exit code {process.exitcode})"
-                    )
-
-        try:
-            while len(outputs) + len(failures) < len(shards):
-                try:
-                    message = results_queue.get(timeout=_POLL_SECONDS)
-                except queue.Empty:
-                    note_silent_deaths()
-                    continue
-                except Exception:
-                    # A worker SIGKILLed mid-put can leave a truncated
-                    # pickle frame in the shared pipe; get() then raises
-                    # EOFError/UnpicklingError instead of Empty.  Same
-                    # failure class as a poisoned envelope: count it, keep
-                    # polling liveness (the sender will be noticed dead),
-                    # and pace the loop — a wedged pipe raises immediately.
-                    self._c_poisoned.inc()
-                    note_silent_deaths()
-                    time.sleep(_POLL_SECONDS)
-                    continue
-                self._handle_message(
-                    message, outputs, failures, exchange, sync_queues, shards
-                )
-            # Residual records still in flight after the last shard reported
-            # (stream/final-report races) are folded in, not thrown away.
-            for message in _drain(results_queue):
-                if (
-                    isinstance(message, tuple)
-                    and len(message) == 3
-                    and message[0] == "record"
-                ):
-                    self._ingest_record(message[2], message[1], exchange, None)
-        finally:
-            for process in workers:
-                process.join(timeout=1.0)
-            for process in workers:
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-                    process.join(timeout=1.0)
-            for sync_queue in sync_queues:
-                sync_queue.close()
-                sync_queue.cancel_join_thread()
-            results_queue.close()
-            results_queue.cancel_join_thread()
-
-        shard_results: Dict[int, List[TuningResult]] = {}
-        for i, payload in outputs.items():
-            self._o_workers_done.inc()
-            exchange.apply(
-                TuningRecord.from_dict(d) for d in payload.get("records", [])
-            )
-            stats = payload.get("stats")
-            if isinstance(stats, ServiceStats):
-                self._absorb(stats)
-            wire = payload.get("metrics")
-            if isinstance(wire, dict):
-                try:
-                    self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
-                except Exception:
-                    # A corrupted telemetry blob is the same failure class as
-                    # a poisoned envelope — never crash the parent over it.
-                    self._c_poisoned.inc()
-            self._c_poisoned.inc(int(payload.get("poisoned", 0)))
-            shard_results[i] = payload["results"]
-        # Graceful degradation: every failed shard re-runs in the parent
-        # against the shared database — anything its worker streamed before
-        # dying (or other shards solved meanwhile) is served, not re-tuned.
-        for i in sorted(failures):
-            self._c_worker_failures.inc()
-            self._o_workers_failed.inc()
-            # Durable pools first salvage what the dead worker persisted
-            # but never streamed, so the rerun serves it instead of
-            # re-measuring.
-            self._recover_shard_store(i, exchange)
-            runner = _ShardRunner(
-                shards[i],
-                policy=self.policy,
-                admit_window=self.admit_window,
-                database=exchange,
-                obs=self.obs,
-            )
-            while runner.step():
-                pass
-            self._absorb(runner.service.stats)
-            self._merge_shard_metrics(runner.service.metrics_snapshot())
-            shard_results[i] = runner.results()
-        return shard_results
-
-    # -- long-lived serving mode ----------------------------------------- #
+    # -- serving session ------------------------------------------------- #
     @property
     def serving(self) -> bool:
         return self._serving
@@ -1173,58 +814,54 @@ class TuningWorkerPool:
 
         ``database`` plays the batch ``tune(database=...)`` role for the
         whole serving session: pruned submits it covers are answered in the
-        parent with zero measurements, streamed records fold into it
-        immediately, and the graceful :meth:`stop` leaves it holding every
+        parent with zero measurements, records fold into it (streamed ones
+        immediately), and the graceful :meth:`stop` leaves it holding every
         shard's records.  The daemon passes its shared database here.
 
-        Mode selection mirrors :meth:`tune`: processes when available (and
-        more than one shard), else the deterministic in-process serial
-        interleaving; ``use_processes`` forces either.  A stopped or
-        terminated pool may ``start()`` again — durable shards
-        (``store_dir``) then recover their logs instead of re-tuning.
+        Processes are used when available (and more than one shard), else
+        the deterministic in-process interleaving; ``use_processes`` forces
+        either.  A stopped or terminated pool may ``start()`` again —
+        durable shards (``store_dir``) then recover their logs instead of
+        re-tuning.
         """
         if self._serving:
             raise RuntimeError("pool is already serving; stop() it first")
-        self._reset_accounting(streaming=True)
+        self._reset_accounting(streaming=self.streaming)
+        self._bring_up(database, max(1, self.num_workers), batch=False)
+
+    def _bring_up(
+        self, database: Optional[TuningDatabase], num_shards: int, batch: bool
+    ) -> None:
+        """Start a session of ``num_shards`` shards (``batch``: workers hold
+        their first round until :meth:`stop`'s sentinel)."""
         self._serve_exchange = database if database is not None else TuningDatabase()
-        self._serve_shards = max(1, self.num_workers)
-        self._serve_futures = {}
-        self._serve_tickets = {}
+        self._serve_shards = num_shards
         self._next_ticket = 0
-        self._serve_runners = {}
-        self._serve_inboxes = {}
-        self._serve_workers = {}
-        self._serve_submit_queues = {}
-        self._serve_sync_queues = {}
-        self._serve_results_queue = None
-        self._serve_dead_polls = {}
-        self._serve_byes = {}
         self._serving = True
-        self._c_shards.inc(self._serve_shards)
-        started = False
-        if self._serve_shards > 1 and self.use_processes is not False:
+        self._c_shards.inc(num_shards)
+        self.used_processes = False
+        if num_shards > 1 and self.use_processes is not False:
             try:
-                self._start_serving_processes()
-                started = True
+                self._start_processes(batch)
                 self.used_processes = True
             except (OSError, PermissionError, ImportError):
                 if not self.allow_serial_fallback or self.use_processes is True:
                     self._serving = False
                     raise
-        if not started:
-            for i in range(self._serve_shards):
+        if not self.used_processes:
+            for i in range(num_shards):
                 self._serve_runners[i] = _ShardRunner(
                     [],
                     policy=self.policy,
-                    admit_window=self.admit_window,
+                    admit_window=self._admit_window,
                     obs=self.obs,
                     store_path=self._shard_store_path(i),
                 )
                 self._serve_inboxes[i] = []
-            self.used_processes = False
+            self._o_workers_started.inc(num_shards)
         self._stats_mode = "processes" if self.used_processes else "serial"
 
-    def _start_serving_processes(self) -> None:
+    def _start_processes(self, batch: bool) -> None:
         ctx = self._context()
         self._serve_results_queue = ctx.Queue()
         for i in range(self._serve_shards):
@@ -1237,12 +874,14 @@ class TuningWorkerPool:
                     args=(
                         i,
                         self.policy,
-                        self.admit_window,
+                        self._admit_window,
                         self._serve_submit_queues[i],
                         self._serve_sync_queues[i],
                         self._serve_results_queue,
                         self.obs.enabled,
                         self._shard_store_path(i),
+                        self.streaming,
+                        batch,
                     ),
                     daemon=True,
                 )
@@ -1268,25 +907,23 @@ class TuningWorkerPool:
         """
         if not self._serving:
             raise RuntimeError("pool is not serving; call start() first")
-        future = TuningFuture(request)
         self._c_requests.inc()
-        if request.pruned:
-            record = self._serve_exchange.lookup(
-                request.params,
-                request.spec,
-                request.algorithm,
-                budget=request.max_measurements,
-                noise=request.noise,
-                noise_seed=request.noise_seed,
-            )
-            if record is not None:
-                self._c_pre_served.inc()
-                future.from_database = True
-                future._set_result(record.as_result())
-                return future
+        record = self._covering_record(self._serve_exchange, request)
+        if record is not None:
+            self._c_pre_served.inc()
+            future = TuningFuture(request)
+            future.from_database = True
+            future._set_result(record.as_result())
+            return future
+        return self._enqueue(request, _shard_for_request(request, self._serve_shards))
+
+    def _enqueue(self, request: TuningRequest, shard: int) -> TuningFuture:
+        """Ticket ``request`` onto ``shard``'s backlog (in-parent runner or
+        worker submit queue); the returned future settles as the fleet is
+        pumped."""
+        future = TuningFuture(request)
         ticket = self._next_ticket
         self._next_ticket += 1
-        shard = _shard_for_request(request, self._serve_shards)
         self._serve_futures[ticket] = future
         self._serve_tickets[ticket] = (shard, request)
         runner = self._serve_runners.get(shard)
@@ -1299,9 +936,6 @@ class TuningWorkerPool:
     def step(self) -> bool:
         """Pump the serving fleet one round; True while work is in flight.
 
-        Drains streamed records and per-request completions from process
-        workers (failing dead ones over), advances every in-parent runner
-        one scheduling round, and exchanges records between all shards.
         When process workers still owe completions and nothing else
         progressed, blocks briefly on the results queue
         (``_SERVE_PARENT_WAIT``) so a drain loop above polls paced instead
@@ -1309,14 +943,52 @@ class TuningWorkerPool:
         """
         if not self._serving:
             return False
+        wait = _SERVE_PARENT_WAIT if self._serve_futures else 0.0
+        return self._pump(wait) or bool(self._serve_futures)
+
+    def _outstanding(self) -> List[int]:
+        """Process shards that have neither retired nor failed over."""
+        return [s for s in self._serve_workers if s not in self._serve_byes]
+
+    def _pump(self, wait: float) -> bool:
+        """One fleet round, shared by :meth:`step` and :meth:`stop`; True
+        when anything progressed.
+
+        Drains the results queue (records, per-ticket completions, final
+        reports, failing dead workers over), advances every in-parent runner
+        one scheduling round with the exchange between them, and — when
+        nothing progressed but process workers still owe reports — waits up
+        to ``wait`` seconds for the next one.
+        """
+        results = self._serve_results_queue
+        messages = _drain(results) if results is not None else []
         progressed = False
-        if self._serve_results_queue is not None:
-            messages = _drain(self._serve_results_queue)
-            for message in messages:
-                if self._handle_serve_message(message):
-                    progressed = True
-            if not messages:
-                self._note_serving_deaths()
+        for message in messages:
+            progressed = self._handle_message(message) or progressed
+        progressed = self._advance_runners() or progressed
+        if not progressed and wait > 0 and self._outstanding():
+            try:
+                messages = [results.get(timeout=wait)]
+            except queue.Empty:
+                pass
+            except Exception:
+                # A worker SIGKILLed mid-put can leave a truncated pickle
+                # frame in the shared pipe; get() then raises instead of
+                # Empty.  Same failure class as a poisoned envelope: count
+                # it, keep checking liveness (the sender will be noticed
+                # dead), and pace — a wedged pipe raises immediately.
+                self._c_poisoned.inc()
+                time.sleep(wait)
+            else:
+                progressed = self._handle_message(messages[0])
+        if results is not None and not messages:
+            progressed = self._note_serving_deaths() or progressed
+        return progressed
+
+    def _advance_runners(self) -> bool:
+        """Run every in-parent shard one round: sync its inbox, step,
+        stream its new records, settle its finished tickets."""
+        progressed = False
         for shard in sorted(self._serve_runners):
             runner = self._serve_runners[shard]
             inbox = self._serve_inboxes.get(shard) or []
@@ -1326,49 +998,31 @@ class TuningWorkerPool:
             runner.sync(inbox)
             if runner.step():
                 progressed = True
-            shares_exchange = runner.service.database is self._serve_exchange
-            for record in runner.take_new_records():
-                self._c_records_streamed.inc()
-                self._o_envelopes.inc()
-                self._serve_broadcast(
-                    record, origin=shard, already_applied=shares_exchange
-                )
-            for ticket, (ticket_shard, _) in list(self._serve_tickets.items()):
-                if ticket_shard != shard:
-                    continue
-                service_future = runner.futures.get(ticket)
-                if service_future is not None and service_future.done():
+            if self.streaming:
+                shares_exchange = runner.service.database is self._serve_exchange
+                for record in runner.take_new_records():
+                    self._c_records_streamed.inc()
+                    self._o_envelopes.inc()
+                    self._serve_broadcast(
+                        record, origin=shard, already_applied=shares_exchange
+                    )
+            for ticket, service_future in list(runner.futures.items()):
+                if service_future.done():
                     del runner.futures[ticket]
                     if self._settle_serving(ticket, service_future=service_future):
                         progressed = True
-        if (
-            not progressed
-            and self._serve_futures
-            and self._serve_results_queue is not None
-            and any(
-                s not in self._serve_runners and s not in self._serve_byes
-                for s in self._serve_workers
-            )
-        ):
-            # Paced wait for worker completions instead of a hot no-progress
-            # return (the sleep half is pacing, not a timing source).
-            try:
-                message = self._serve_results_queue.get(timeout=_SERVE_PARENT_WAIT)
-            except queue.Empty:
-                pass
-            except Exception:
-                self._c_poisoned.inc()
-                self._note_serving_deaths()
-                time.sleep(_SERVE_PARENT_WAIT)
-            else:
-                if self._handle_serve_message(message):
-                    progressed = True
-        return progressed or bool(self._serve_futures)
+        return progressed
 
-    def _handle_serve_message(self, message: object) -> bool:
-        """Dispatch one serving results-queue message; True when it settled
-        a ticket or advanced the exchange (the poisoned-envelope rules of
-        :meth:`_handle_message` apply)."""
+    def _handle_message(self, message: object) -> bool:
+        """Validate and dispatch one results-queue message; True when it
+        settled a ticket or advanced the exchange.
+
+        A corrupted message is the same failure class as a poisoned
+        envelope: dropped and counted, never allowed to crash the parent.
+        A completion report that fails validation — a ``done_one`` outcome
+        or a ``bye`` report of the wrong shape — fails its shard over like
+        a dead worker, so every request is still answered.
+        """
         if not (isinstance(message, tuple) and len(message) in (3, 4)):
             self._c_poisoned.inc()
             return False
@@ -1390,11 +1044,14 @@ class TuningWorkerPool:
             self._serve_broadcast(envelope.record, origin=shard)
             return True
         if tag == "done_one" and len(message) == 4:
-            ticket = message[2]
+            ticket, outcome = message[2], message[3]
             if not isinstance(ticket, int) or isinstance(ticket, bool):
                 self._c_poisoned.inc()
                 return False
-            return self._settle_serving(ticket, outcome=message[3])
+            if not _is_outcome(outcome):
+                self._failover_serving_shard(shard)
+                return True
+            return self._settle_serving(ticket, outcome=outcome)
         if tag == "bye" and len(message) == 3:
             return self._retire_serving_worker(shard, message[2])
         if tag == "error" and len(message) == 3:
@@ -1409,12 +1066,14 @@ class TuningWorkerPool:
         """Fold one shard's record into the exchange and, when it improved
         it, forward the surviving record to every other shard.
 
-        ``already_applied`` marks records from failed-over runners whose
-        database *is* the exchange (their stores are already folded); the
-        broadcast still runs so other shards serve from them.  Forwarding
-        to in-parent runners goes through their inboxes — the next
-        :meth:`_ShardRunner.sync` injects and advances the checkpoint, so
-        nothing echoes.
+        Forward what apply() kept, not the raw incoming record: on a
+        collision (e.g. with a faster caller-database record) the exchange's
+        surviving record is the servable best.  ``already_applied`` marks
+        records from failed-over runners whose database *is* the exchange;
+        the broadcast still runs so other shards serve from them.
+        Forwarding to in-parent runners goes through their inboxes — the
+        next :meth:`_ShardRunner.sync` injects and advances the checkpoint,
+        so nothing echoes.
         """
         if already_applied:
             winner = record
@@ -1443,9 +1102,9 @@ class TuningWorkerPool:
     def _settle_serving(
         self, ticket: int, outcome: object = None, service_future=None
     ) -> bool:
-        """Answer one ticket's parent future from a worker report
-        (``outcome``) or an in-parent service future.  Late reports for
-        cancelled or already-failed-over tickets are discarded."""
+        """Answer one ticket's parent future from a worker's well-formed
+        report (``outcome``) or an in-parent service future.  Late reports
+        for cancelled or already-failed-over tickets are discarded."""
         future = self._serve_futures.pop(ticket, None)
         self._serve_tickets.pop(ticket, None)
         if future is None or future.done():
@@ -1459,17 +1118,10 @@ class TuningWorkerPool:
                 future.from_database = service_future.from_database
                 future.coalesced = service_future.coalesced
                 future._set_result(result)
-            return True
-        if isinstance(outcome, tuple) and len(outcome) == 2:
-            kind, payload = outcome
-            if kind == "ok" and isinstance(payload, TuningResult):
-                future._set_result(payload)
-                return True
-            if kind == "err" and isinstance(payload, dict):
-                future._set_exception(error_from_wire(payload))
-                return True
-        self._c_poisoned.inc()
-        future._set_exception(RequestFailed("malformed completion report"))
+        elif outcome[0] == "ok":
+            future._set_result(outcome[1])
+        else:
+            future._set_exception(error_from_wire(outcome[1]))
         return True
 
     def _retire_serving_worker(self, shard: int, payload: object) -> bool:
@@ -1478,56 +1130,52 @@ class TuningWorkerPool:
         if shard in self._serve_byes or shard not in self._serve_workers:
             self._c_poisoned.inc()
             return False
+        if not _is_final_report(payload):
+            self._failover_serving_shard(shard)
+            return True
         self._serve_byes[shard] = True
         self._o_workers_done.inc()
-        if not isinstance(payload, dict):
-            self._c_poisoned.inc()
-            return True
         try:
             self._serve_exchange.apply(
-                TuningRecord.from_dict(d) for d in payload.get("records", [])
+                TuningRecord.from_dict(d) for d in payload["records"]
             )
         except Exception:
             self._c_poisoned.inc()
-        stats = payload.get("stats")
-        if isinstance(stats, ServiceStats):
-            self._absorb(stats)
-        wire = payload.get("metrics")
-        if isinstance(wire, dict):
-            try:
-                self._merge_shard_metrics(MetricsSnapshot.from_wire(wire))
-            except Exception:
-                self._c_poisoned.inc()
-        self._c_poisoned.inc(int(payload.get("poisoned", 0)))
+        self._absorb(payload["stats"])
+        try:
+            self._merge_shard_metrics(MetricsSnapshot.from_wire(payload["metrics"]))
+        except Exception:
+            # A corrupted telemetry blob is the same failure class as a
+            # poisoned envelope — never crash the parent over it.
+            self._c_poisoned.inc()
+        self._c_poisoned.inc(payload["poisoned"])
         return True
 
-    def _note_serving_deaths(self) -> None:
+    def _note_serving_deaths(self) -> bool:
         """Failover check: a worker gone without a ``bye`` (after the grace
         polls that let a final message finish travelling the pipe) degrades
-        its shard to an in-parent runner."""
-        for shard, process in list(self._serve_workers.items()):
-            if (
-                shard in self._serve_byes
-                or shard in self._serve_runners
-                or process.is_alive()
-            ):
+        its shard to an in-parent runner.  True when one failed over."""
+        failed_over = False
+        for shard in self._outstanding():
+            if self._serve_workers[shard].is_alive():
                 continue
             self._serve_dead_polls[shard] = self._serve_dead_polls.get(shard, 0) + 1
             if self._serve_dead_polls[shard] >= _DEATH_GRACE_POLLS:
                 self._failover_serving_shard(shard)
+                failed_over = True
+        return failed_over
 
     def _failover_serving_shard(self, shard: int) -> None:
-        """A serving worker died: degrade per the batch fault model, made
-        incremental — salvage its durable log into the exchange, then hand
-        its unresolved tickets (and any future submits routed to it) to an
-        in-parent runner against the exchange.  Records the worker streamed
-        or persisted before dying are served, not re-tuned; the pool (and
-        the daemon above) keeps serving throughout."""
+        """A worker failed: salvage its durable log into the exchange, then
+        hand its unresolved tickets (and any future submits routed to it)
+        to an in-parent runner against the exchange.  Records the worker
+        streamed or persisted before failing are served, not re-tuned; the
+        pool (and the daemon above) keeps serving throughout."""
         if shard in self._serve_runners:
             return
         process = self._serve_workers.pop(shard, None)
         if process is not None:
-            if process.is_alive():  # pragma: no cover - defensive
+            if process.is_alive():
                 process.terminate()
             process.join(timeout=1.0)
         self._c_worker_failures.inc()
@@ -1536,7 +1184,7 @@ class TuningWorkerPool:
         runner = _ShardRunner(
             [],
             policy=self.policy,
-            admit_window=self.admit_window,
+            admit_window=self._admit_window,
             database=self._serve_exchange,
             obs=self.obs,
         )
@@ -1589,13 +1237,15 @@ class TuningWorkerPool:
             self._serve_tickets.pop(ticket, None)
         return cancelled
 
-    def stop(self, timeout: float = 30.0) -> None:
+    def stop(self) -> None:
         """Leave serving mode gracefully.
 
         Process workers get a ``("stop",)`` sentinel, finish their in-flight
         work, compact their durable stores and report ``bye`` (folded into
-        the pool's accounting and the exchange); workers that die instead
-        fail over.  In-parent runners drain their backlogs, compact and are
+        the pool's accounting and the exchange).  The wait ends on each
+        worker's ``bye`` or its detected death (which fails it over), never
+        on a deadline: a healthy worker may spend arbitrarily long on one
+        round.  In-parent runners drain their backlogs, compact and are
         absorbed.  Any future still unresolved afterwards is answered with
         :class:`~repro.service.errors.RequestCancelled` — drain first (pump
         :meth:`step` until idle, as the daemon's drain does) for a clean
@@ -1603,69 +1253,20 @@ class TuningWorkerPool:
         """
         if not self._serving:
             return
-        for shard, submit_queue in self._serve_submit_queues.items():
-            if (
-                shard in self._serve_workers
-                and shard not in self._serve_runners
-                and shard not in self._serve_byes
-            ):
-                try:
-                    submit_queue.put(("stop",))
-                except Exception:  # pragma: no cover - defensive
-                    pass
-
-        def outstanding() -> List[int]:
-            return [
-                s
-                for s in self._serve_workers
-                if s not in self._serve_byes and s not in self._serve_runners
-            ]
-
-        attempts = max(1, int(timeout / _POLL_SECONDS))
-        while outstanding() and attempts > 0:
+        for shard in self._outstanding():
             try:
-                message = self._serve_results_queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                self._note_serving_deaths()
-                attempts -= 1
-            except Exception:
-                self._c_poisoned.inc()
-                self._note_serving_deaths()
-                attempts -= 1
-                time.sleep(_POLL_SECONDS)
-            else:
-                self._handle_serve_message(message)
-        for shard in outstanding():
-            self._failover_serving_shard(shard)
-        # Drain failed-over / in-parent shards to completion.
-        while True:
-            progressed = False
-            for shard in sorted(self._serve_runners):
-                runner = self._serve_runners[shard]
-                inbox = self._serve_inboxes.get(shard) or []
-                if inbox:
-                    self._serve_inboxes[shard] = []
-                runner.sync(inbox)
-                if runner.step():
-                    progressed = True
-                shares = runner.service.database is self._serve_exchange
-                for record in runner.take_new_records():
-                    self._c_records_streamed.inc()
-                    self._o_envelopes.inc()
-                    self._serve_broadcast(record, origin=shard, already_applied=shares)
-                for ticket, (ticket_shard, _) in list(self._serve_tickets.items()):
-                    if ticket_shard != shard:
-                        continue
-                    service_future = runner.futures.get(ticket)
-                    if service_future is not None and service_future.done():
-                        del runner.futures[ticket]
-                        self._settle_serving(ticket, service_future=service_future)
-            if not progressed:
-                break
+                self._serve_submit_queues[shard].put(("stop",))
+            except Exception:  # pragma: no cover - defensive
+                pass
+        while self._pump(_POLL_SECONDS) or self._outstanding():
+            pass
         for runner in self._serve_runners.values():
             if runner.service.database is not self._serve_exchange:
+                # A shard that ran in-parent from the start (failover
+                # runners already share the exchange).
                 self._serve_exchange.apply(runner.service.database)
                 runner.drain_store()
+                self._o_workers_done.inc()
             self._absorb(runner.service.stats)
             self._merge_shard_metrics(runner.service.metrics_snapshot())
         for future in list(self._serve_futures.values()):

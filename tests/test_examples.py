@@ -4,7 +4,9 @@ Only the cheaper examples are executed here (the tuning-heavy ones are
 exercised indirectly by the tuner tests and the benchmark harness).
 """
 
+import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,12 +14,13 @@ import sys
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
-def _run(script: str, timeout: int = 240) -> str:
+def _run(script: str, timeout: int = 240, env=None) -> str:
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / script)],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=None if env is None else {**os.environ, **env},
     )
     assert result.returncode == 0, f"{script} failed:\n{result.stderr[-2000:]}"
     return result.stdout
@@ -62,3 +65,16 @@ def test_tuning_daemon_demo_example():
     # The real double-fork act only runs with --daemonize (not under test
     # runners); the default run must announce the skip, not attempt it.
     assert "daemonized process wrapper (skipped" in out
+
+
+def test_tuning_service_demo_example(tmp_path):
+    # The demo persists its tuning database; point it into tmp_path so the
+    # run neither reads nor writes the user's default database.
+    db_path = tmp_path / "tuning.json"
+    out = _run("tuning_service_demo.py", env={"REPRO_TUNING_DB": str(db_path)})
+    assert db_path.exists()
+    measurements = dict(
+        re.findall(r"(merge-at-end|streaming): PoolStats\[.* (\d+) measurements", out)
+    )
+    assert set(measurements) == {"merge-at-end", "streaming"}, out
+    assert int(measurements["streaming"]) < int(measurements["merge-at-end"])

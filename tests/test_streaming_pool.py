@@ -369,18 +369,20 @@ class TestFaultInjection:
     def test_parent_ingest_counts_poison_and_survives(self):
         pool = TuningWorkerPool(num_workers=2, use_processes=False)
         exchange = TuningDatabase()
-        pool._ingest_record({"v": 1, "record": "junk"}, 0, exchange, None)
-        pool._ingest_record("not even a dict", 1, exchange, None)
+        pool.start(database=exchange)
+        pool._handle_message(("record", 0, {"v": 1, "record": "junk"}))
+        pool._handle_message(("record", 1, "not even a dict"))
         assert pool.stats.poisoned_envelopes == 2
         assert pool.stats.records_streamed == 0
         assert len(exchange) == 0
         # A valid envelope still flows after the poison.
         request = _request(A)
         good = RecordEnvelope(record=_record_for(request, 1e-3)).to_wire()
-        pool._ingest_record(good, 0, exchange, None)
+        pool._handle_message(("record", 0, good))
         assert pool.stats.records_streamed == 1
         assert pool.stats.records_applied == 1
         assert len(exchange) == 1
+        pool.stop()
 
     @pytest.mark.parametrize(
         "message",
@@ -392,34 +394,53 @@ class TestFaultInjection:
             ("done", 7, {"results": []}),  # index out of range
             ("record", 0, "junk"),  # poisoned envelope payload
             ("shrug", 0, {}),  # unknown tag
+            ("done_one", 0, 0),  # wrong arity for its tag
+            ("done_one", "zero", 0, ("ok", None)),  # non-int shard index
+            ("done_one", True, 0, ("ok", None)),  # bool shard index
+            ("done_one", 7, 0, ("ok", None)),  # index out of range
+            ("done_one", 0, "zero", ("ok", None)),  # non-int ticket
+            ("done_one", 0, False, ("ok", None)),  # bool masquerading as a ticket
+            ("bye", 0, {}),  # final report from a shard with no worker
         ],
     )
     def test_corrupted_results_queue_messages_are_dropped(self, message):
         pool = TuningWorkerPool(num_workers=2, use_processes=False)
-        outputs: dict = {}
-        failures: dict = {}
-        shards = [[_request(A)], [_request(B)]]
-        pool._handle_message(message, outputs, failures, TuningDatabase(), None, shards)
+        pool.start()
+        future = pool.submit(_request(A, budget=6))
+        assert not pool._handle_message(message)
         assert pool.stats.poisoned_envelopes == 1
-        assert outputs == {} and failures == {}
+        assert pool.stats.worker_failures == 0
+        assert not future.done()
+        pool.stop()
+        assert future.done() and not future.result().from_cache
 
     def test_malformed_completion_report_degrades_to_failure(self):
-        # A "done" whose payload fails validation must not crash the parent
-        # later (KeyError on payload["results"]); the shard is marked failed
-        # and re-runs in the parent like a dead worker.
-        pool = TuningWorkerPool(num_workers=2, use_processes=False)
-        outputs: dict = {}
-        failures: dict = {}
-        shards = [[_request(A)], [_request(B)]]
+        # A completion report that fails validation must not crash the
+        # parent, nor fail the request it names: the shard fails over to an
+        # in-parent runner like a dead worker, so every request is still
+        # answered — bit-identically.  Same for a per-ticket ``done_one``
+        # outcome and for a shard's final ``bye`` report.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("process-worker failover needs fork")
+        requests = [_request(A, seed=1, budget=8), _request(B, seed=1, budget=8)]
         for bad_payload in ({}, {"results": "oops"}, {"results": [1, 2, 3]}):
-            pool._handle_message(
-                ("done", 0, bad_payload), outputs, {}, TuningDatabase(), None, shards
+            pool = TuningWorkerPool(
+                num_workers=2, start_method="fork", use_processes=True
             )
-        pool._handle_message(
-            ("done", 1, {"results": "oops"}), outputs, failures, TuningDatabase(), None, shards
-        )
-        assert outputs == {}
-        assert failures == {1: "malformed completion report"}
+            pool.start()
+            futures = [pool.submit(r) for r in requests]
+            victim = pool._serve_tickets[0][0]
+            pool._handle_message(("done_one", victim, 0, bad_payload))
+            assert pool.stats.worker_failures == 1
+            assert victim in pool._serve_runners
+            pool._handle_message(("bye", 1 - victim, bad_payload))
+            assert pool.stats.worker_failures == 2
+            assert pool.stats.poisoned_envelopes == 0
+            _pump(pool)
+            pool.stop()
+            for request, future in zip(requests, futures):
+                result = future.result()
+                assert _trajectory(result) == _trajectory(request.tune_direct())
 
     def test_drain_skips_corrupted_pipe_frames(self):
         # A sender killed mid-put leaves frames that raise on deserialize;
@@ -848,6 +869,52 @@ class TestServingMode:
         proc_pool.stop()
         for s, p in zip(serial, procs):
             assert _trajectory(s.result()) == _trajectory(p.result())
+
+    def test_serving_honours_merge_at_end(self):
+        # streaming=False holds in serving mode too: no record crosses a
+        # shard mid-session, so every request is freshly tuned, and the
+        # shards' records reach the shared database at stop().
+        db = TuningDatabase()
+        pool = TuningWorkerPool(num_workers=2, streaming=False, use_processes=False)
+        pool.start(database=db)
+        futures = [pool.submit(r) for r in CROSS_SHARD_WORKLOAD]
+        _pump(pool)
+        assert len(db) == 0
+        pool.stop()
+        assert pool.stats.streaming is False
+        assert pool.describe()["streaming"] is False
+        assert pool.stats.records_streamed == 0
+        assert pool.stats.tuning_runs == len(CROSS_SHARD_WORKLOAD)
+        assert len(db) == 2
+        for request, future in zip(CROSS_SHARD_WORKLOAD, futures):
+            assert _trajectory(future.result()) == _trajectory(request.tune_direct())
+
+    def test_slow_worker_is_not_failed_over(self, monkeypatch):
+        # stop() waits on a worker's final report or its death, never on
+        # silence: a live worker that spends many parent polls on one round
+        # keeps its shard, and its results stay bit-identical.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("process-worker pacing needs fork")
+        parent_pid = os.getpid()
+        original_step = pool_module._ShardRunner.step
+
+        def slow_step(self):
+            if os.getpid() != parent_pid and self.pending and not hasattr(self, "_slowed"):
+                self._slowed = True
+                time.sleep(0.5)  # pacing: ~50 silent parent polls below
+            return original_step(self)
+
+        monkeypatch.setattr(pool_module._ShardRunner, "step", slow_step)
+        monkeypatch.setattr(pool_module, "_POLL_SECONDS", 0.01)
+        requests = [_request(A, seed=1), _request(B, seed=1), _request(C, seed=2)]
+        pool = TuningWorkerPool(num_workers=2, start_method="fork", use_processes=True)
+        pool.start()
+        futures = [pool.submit(r) for r in requests]
+        pool.stop()  # no pumping: stop() alone must wait the slow round out
+        assert pool.used_processes
+        assert pool.stats.worker_failures == 0
+        for request, future in zip(requests, futures):
+            assert _trajectory(future.result()) == _trajectory(request.tune_direct())
 
     def test_serving_worker_sigkill_fails_over(self):
         if "fork" not in multiprocessing.get_all_start_methods():

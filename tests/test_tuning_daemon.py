@@ -967,6 +967,29 @@ class TestSocketServerRobustness:
             server.stop()
             daemon.close()
 
+    def test_op_on_closed_daemon_hangs_up_cleanly(self, tmp_path, monkeypatch):
+        # A submit reaching a closed daemon through a live server used to
+        # raise TuningDatabaseError in the connection thread.  It must end
+        # the connection instead — the client sees the same ConnectionError
+        # a killed daemon gives it, and retries — with nothing escaping to
+        # threading.excepthook.
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        path, daemon, server = self._serving(tmp_path)
+        try:
+            daemon.close()
+            op = {"op": "submit", "request": request_to_wire(_request(seed=4))}
+            with pytest.raises(ConnectionError):
+                SocketTransport(path, timeout=5.0).call(op)
+            for thread in threading.enumerate():
+                if "_serve_connection" in thread.name:
+                    thread.join(timeout=5.0)
+                    assert not thread.is_alive()
+            self._assert_still_serving(path)
+        finally:
+            server.stop()
+        assert escaped == []
+
     def test_slow_client_split_op_is_served(self, tmp_path):
         path, daemon, server = self._serving(tmp_path)
         try:
