@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import emit, write_bench_json
+from explorer_oracle import ScalarRandomWalkExplorer
 from repro.analysis import ResultTable, render_table
 from repro.conv import ConvParams
 from repro.obs import MonotonicClock
@@ -38,7 +39,6 @@ from repro.core.autotune import (
     ExplorerConfig,
     Measurer,
     ParallelRandomWalkExplorer,
-    ScalarRandomWalkExplorer,
     SearchSpace,
     feature_matrix,
     feature_vector,

@@ -16,7 +16,7 @@ from .config import (
 from .space import SearchSpace
 from .features import FEATURE_NAMES, FeatureCache, feature_matrix, feature_vector
 from .cost_model import CostModel, GradientBoostedTrees, RegressionTree
-from .explorer import ExplorerConfig, ParallelRandomWalkExplorer, ScalarRandomWalkExplorer
+from .explorer import ExplorerConfig, ParallelRandomWalkExplorer
 from .session import TrialRecord, TuningResult, TuningSessionProtocol, record_trial
 from .engine import AutoTuningEngine, TuningSession
 from .database import (
@@ -62,7 +62,6 @@ __all__ = [
     "RegressionTree",
     "ExplorerConfig",
     "ParallelRandomWalkExplorer",
-    "ScalarRandomWalkExplorer",
     "AutoTuningEngine",
     "TrialRecord",
     "TuningResult",

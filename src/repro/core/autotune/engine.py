@@ -246,9 +246,8 @@ class AutoTuningEngine:
         """``explorer_cls`` picks the searching implementation: the default is
         the vectorised lock-step
         :class:`~repro.core.autotune.explorer.ParallelRandomWalkExplorer`;
-        pass :class:`~repro.core.autotune.explorer.ScalarRandomWalkExplorer`
-        to run the per-configuration reference path (the quality-parity
-        property tests drive both)."""
+        the quality-parity property tests pass the per-configuration
+        reference explorer from ``tests/explorer_oracle.py``."""
         if batch_size < 1 or max_measurements < 1:
             raise ValueError("batch_size and max_measurements must be >= 1")
         if patience < 1:

@@ -47,6 +47,7 @@ from .session import TrialRecord, TuningResult
 
 __all__ = [
     "FORMAT_VERSION",
+    "DurableLog",
     "JsonMapStore",
     "LogStore",
     "RecordStore",
@@ -269,13 +270,6 @@ def resolve_record(
 
 
 # -- shared on-disk helpers --------------------------------------------- #
-def _atomic_write_json(path: str, payload: dict, fsync: bool = False) -> str:
-    """Write ``payload`` to ``path`` as indented JSON; see :func:`_atomic_write`."""
-    return _atomic_write(
-        path, lambda fh: json.dump(payload, fh, indent=1, sort_keys=True), fsync
-    )
-
-
 def _atomic_write(path: str, write, fsync: bool = False) -> str:
     """Fill ``path`` by calling ``write(text_file)`` on a temp file, then
     ``os.replace`` it into place.
@@ -345,6 +339,164 @@ def _check_format(payload: object, path: Union[str, os.PathLike], kind: str) -> 
     return payload
 
 
+class DurableLog:
+    """The crash model shared by every append-only JSON-lines log.
+
+    :class:`LogStore` (tuning records) and
+    :class:`~repro.service.journal.RequestJournal` (daemon requests) are
+    both a state fold over this primitive.  On disk, ``path`` is a header
+    line ``{"format": 1, "kind": kind, ...}`` followed by one JSON object
+    per line, and ``path + ".snap"`` is the owner's compaction snapshot
+    (``kind: kind + "-snapshot"``).  The owner keeps its folds, its
+    snapshot document, its compaction trigger, its metrics and its lock
+    (every method here runs under it); this class owns only the bytes:
+
+    * :meth:`append` writes one line and flushes it (fsync'd when
+      ``fsync_appends``), so one line is the durability unit against
+      process death.
+    * :meth:`compact` installs an fsync'd snapshot by atomic replace, then
+      resets the log to a bare header (also installed atomically, so a
+      half-written header never exists).  A death before the snapshot's
+      replace leaves the old snapshot and the full old log; a death
+      between the replace and the reset leaves the new snapshot and the
+      old log, whose replay is pure over-delivery (both owners' folds are
+      idempotent); a reset that fails in process reopens the old log and
+      keeps appending to it.
+    * :meth:`recover` folds the snapshot, then replays the log tail line
+      by line.  Exactly one undecodable *trailing* line is tolerated — the
+      in-flight append of a killed process — and truncated away; a
+      complete last line that lost only its newline is terminated, so the
+      next append cannot merge into it.  Any other undecodable line, and
+      any :class:`TuningDatabaseError` a fold raises, is corruption and
+      raises.
+    """
+
+    def __init__(
+        self, path: Union[str, os.PathLike], kind: str, fsync_appends: bool = False
+    ) -> None:
+        self.path = os.fspath(path)
+        self.snapshot_path = self.path + ".snap"
+        self.kind = kind
+        self._fsync_appends = bool(fsync_appends)
+        self._file = None
+
+    @property
+    def closed(self) -> bool:
+        return self._file is None
+
+    def _require_open(self, action: str) -> None:
+        if self._file is None:
+            raise TuningDatabaseError(
+                f"{self.kind} {self.path!r} is closed; {action}"
+            )
+
+    def append(self, obj: Dict[str, object]) -> None:
+        """Write ``obj`` as one line; it hits the OS (and, with
+        ``fsync_appends``, the disk) before this returns."""
+        self._require_open("no further appends")
+        self._file.write(json.dumps(obj, sort_keys=True) + "\n")
+        self._file.flush()
+        if self._fsync_appends:
+            os.fsync(self._file.fileno())
+
+    def compact(self, write_snapshot, header_fields: Dict[str, object]) -> None:
+        """Install the snapshot ``write_snapshot(text_file)`` writes, then
+        reset the log to a header carrying ``header_fields``."""
+        self._require_open("cannot snapshot")
+        _atomic_write(self.snapshot_path, write_snapshot, fsync=True)
+        self._file.close()
+        self._file = None
+        try:
+            self._install_header(header_fields)
+        finally:
+            self._file = open(self.path, "a", encoding="utf-8")
+
+    def _install_header(self, fields: Dict[str, object]) -> None:
+        header = json.dumps(
+            {"format": FORMAT_VERSION, "kind": self.kind, **fields}, sort_keys=True
+        )
+        _atomic_write(self.path, lambda fh: fh.write(header + "\n"), fsync=True)
+
+    def recover(self, fold_snapshot, fold_line, header_fields) -> Dict[str, object]:
+        """Fold the snapshot payload into ``fold_snapshot``, then every tail
+        line's object into ``fold_line``, and reopen the log for appends.
+
+        A missing or zero-byte log (never written) is installed fresh with
+        the fields ``header_fields()`` returns after the snapshot fold.
+        Returns the log's header."""
+        self.close()
+        if os.path.exists(self.snapshot_path):
+            self._fold_snapshot(fold_snapshot)
+        if not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
+            self._install_header(header_fields())
+        with open(self.path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        try:
+            header = json.loads(lines[0])
+        except ValueError as exc:
+            raise TuningDatabaseError(
+                f"{self.path!r} has an undecodable {self.kind} header (the "
+                f"header is installed atomically, so this is not a crash "
+                f"artifact): {exc}"
+            ) from exc
+        _check_format(header, self.path, kind=self.kind)
+        for index in range(1, len(lines)):
+            try:
+                obj = json.loads(lines[index])
+                if not isinstance(obj, dict):
+                    # A cut line can decode to a bare JSON scalar.
+                    raise ValueError(f"line holds {type(obj).__name__}, not an object")
+                fold_line(obj)
+            except TuningDatabaseError:
+                raise
+            except Exception as exc:
+                if index < len(lines) - 1:
+                    raise TuningDatabaseError(
+                        f"{self.path!r} line {index + 1} is undecodable but "
+                        f"not the last line; the {self.kind} is corrupt, not "
+                        f"merely truncated: {exc}"
+                    ) from exc
+                # The append in flight when the process died: only it is
+                # lost.  Drop it so later appends do not concatenate onto it.
+                del lines[index]
+                os.truncate(self.path, sum(len(kept.encode("utf-8")) for kept in lines))
+        self._file = open(self.path, "a", encoding="utf-8")
+        if not lines[-1].endswith("\n"):
+            self._file.write("\n")
+            self._file.flush()
+            if self._fsync_appends:
+                os.fsync(self._file.fileno())
+        return header
+
+    def _fold_snapshot(self, fold_snapshot) -> None:
+        name = self.snapshot_path
+        with open(name, "r", encoding="utf-8") as fh:
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise TuningDatabaseError(
+                    f"{name!r} is not a valid {self.kind} snapshot (it is "
+                    f"written atomically, so this is corruption, not a crash): {exc}"
+                ) from exc
+        payload = _check_format(payload, name, kind=self.kind + "-snapshot")
+        try:
+            fold_snapshot(payload)
+        except TuningDatabaseError:
+            raise
+        except Exception as exc:
+            raise TuningDatabaseError(
+                f"{name!r} holds a malformed {self.kind} snapshot: {exc}"
+            ) from exc
+
+    def close(self) -> None:
+        """Release the log handle (idempotent).  Deliberately no flush
+        point beyond the per-append flush: a closed and a killed log
+        recover identically."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
+
 def write_map_file(
     path: Union[str, os.PathLike], records: Iterable[TuningRecord]
 ) -> str:
@@ -361,7 +513,9 @@ def write_map_file(
         "version": FORMAT_VERSION,
         "records": [r.to_dict() for r in records],
     }
-    return _atomic_write_json(target, payload)
+    return _atomic_write(
+        target, lambda fh: json.dump(payload, fh, indent=1, sort_keys=True)
+    )
 
 
 def read_map_file(path: Union[str, os.PathLike]) -> List[TuningRecord]:
@@ -688,6 +842,9 @@ class LogStore(RecordStore):
     reconstruction) — and ``path + ".snap"`` is the compaction snapshot
     (``kind: "log-snapshot"``, fsync'd, atomically replaced).
 
+    The bytes and the crash model are :class:`DurableLog`'s; this class
+    keeps the record fold and the compaction policy:
+
     * **Appends** are O(1): one serialized line, flushed always and
       fsync'd when ``fsync_appends`` is set (snapshots always fsync).
     * **Compaction** triggers when the log holds at least
@@ -698,10 +855,8 @@ class LogStore(RecordStore):
       so durable appends stay O(1) amortised.
     * **Recovery** folds the snapshot, then replays the log tail in order
       through the same keep-better fold (idempotent, so replaying entries
-      the snapshot already covers is safe).  Exactly one undecodable
-      *trailing* line is tolerated — a crash mid-append truncates the
-      final line and loses only that put; an undecodable line anywhere
-      else is corruption and raises.
+      the snapshot already covers is safe); a crash mid-append loses only
+      the put in flight.
     """
 
     kind = "log"
@@ -720,12 +875,10 @@ class LogStore(RecordStore):
             raise ValueError(
                 f"compact_dead_ratio must be in (0, 1], got {compact_dead_ratio}"
             )
-        self.snapshot_path = self.path + ".snap"
+        self._log = DurableLog(self.path, "log", fsync_appends)
+        self.snapshot_path = self._log.snapshot_path
         self._compact_dead_ratio = float(compact_dead_ratio)
         self._compact_min_entries = int(compact_min_entries)
-        self._fsync_appends = bool(fsync_appends)
-        self._log_file = None
-        self._closed = False
         #: log-tail accounting since the last compaction: total entries,
         #: entries superseded by a later entry to the same slot (dead), and
         #: the slots already present in the tail (to classify new appends).
@@ -758,27 +911,12 @@ class LogStore(RecordStore):
             self._m_log_entries.set(self._entries)
             self._m_dead.set(self._dead)
 
-    # -- durability ------------------------------------------------------ #
+    # -- durability (the crash model is DurableLog's) --------------------- #
     def _persist_effective(self, winner: TuningRecord) -> None:
         """(lock held) Append one effective record to the log; compact when
         the dead ratio crosses the threshold."""
-        if self._log_file is None:
-            raise TuningDatabaseError(
-                f"log store {self.path!r} is closed; no further appends"
-            )
-        line = json.dumps(
-            {"rev": self._revision, "record": winner.to_dict()}, sort_keys=True
-        )
-        self._log_file.write(line + "\n")
-        self._log_file.flush()
-        if self._fsync_appends:
-            os.fsync(self._log_file.fileno())
-        slot = (winner.key(), winner.conditions())
-        self._entries += 1
-        if slot in self._logged_slots:
-            self._dead += 1
-        else:
-            self._logged_slots.add(slot)
+        self._log.append({"rev": self._revision, "record": winner.to_dict()})
+        self._count_logged(winner)
         self._m_log_appends.inc()
         self._m_log_entries.set(self._entries)
         self._m_dead.set(self._dead)
@@ -787,6 +925,24 @@ class LogStore(RecordStore):
         ):
             self._compact_locked()
 
+    def _count_logged(self, record: TuningRecord) -> None:
+        """(lock held) Tail accounting for one logged record: a record for
+        a slot the tail already holds makes the earlier entry dead."""
+        slot = (record.key(), record.conditions())
+        self._entries += 1
+        if slot in self._logged_slots:
+            self._dead += 1
+        else:
+            self._logged_slots.add(slot)
+
+    def _reset_tail(self) -> None:
+        """(lock held) Empty log tail: no entries, nothing dead."""
+        self._entries = 0
+        self._dead = 0
+        self._logged_slots = set()
+        self._m_log_entries.set(0)
+        self._m_dead.set(0)
+
     def snapshot(self) -> Optional[str]:
         """Compact now: fsync'd snapshot of the live set + log reset.
 
@@ -794,30 +950,13 @@ class LogStore(RecordStore):
         can snapshot between traffic bursts so restart replays only a
         short tail."""
         with self._lock:
-            if self._log_file is None:
-                raise TuningDatabaseError(
-                    f"log store {self.path!r} is closed; cannot snapshot"
-                )
             self._compact_locked()
             return self.snapshot_path
 
     def _compact_locked(self) -> None:
-        """(lock held) Snapshot the live set, then reset the log.
-
-        Crash-window analysis (the recovery invariant is: snapshot fold +
-        log replay == pre-crash effective set):
-
-        * snapshot write fails or the machine dies before its
-          ``os.replace`` lands -> old snapshot + full old log survive;
-          nothing was reset, nothing lost.
-        * death between snapshot replace and log reset -> new snapshot +
-          old log; replaying the old log over the snapshot is pure
-          over-delivery (idempotent keep-better), still exact.
-        * log reset fails -> the handle is reopened on the *old* log in
-          the ``finally`` below and tail accounting is left untouched, so
-          later appends keep extending the old log; same over-delivery
-          story as above.
-        """
+        """(lock held) Snapshot the live set, then reset the log.  A failed
+        reset leaves the tail accounting untouched: later appends keep
+        extending the old log (see :class:`DurableLog`)."""
         records = self.scan()
         payload = {
             "format": FORMAT_VERSION,
@@ -825,46 +964,13 @@ class LogStore(RecordStore):
             "revision": self._revision,
             "records": [r.to_dict() for r in records],
         }
-        _atomic_write_json(self.snapshot_path, payload, fsync=True)
-        self._log_file.close()
-        self._log_file = None
-        try:
-            self._write_fresh_log(self._revision)
-        finally:
-            self._log_file = open(self.path, "a", encoding="utf-8")
-        self._entries = 0
-        self._dead = 0
-        self._logged_slots = set()
+        self._log.compact(
+            lambda fh: json.dump(payload, fh, indent=1, sort_keys=True),
+            {"snapshot_revision": self._revision},
+        )
+        self._reset_tail()
         self._m_compactions.inc()
         self._m_compaction_records.inc(len(records))
-        self._m_log_entries.set(0)
-        self._m_dead.set(0)
-
-    def _write_fresh_log(self, snapshot_revision: int) -> None:
-        """(lock held) Atomically install a header-only log file, so a
-        half-written header can never exist on disk."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                header = {
-                    "format": FORMAT_VERSION,
-                    "kind": "log",
-                    "snapshot_revision": snapshot_revision,
-                }
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
 
     # -- recovery -------------------------------------------------------- #
     def recover(self) -> int:
@@ -874,101 +980,37 @@ class LogStore(RecordStore):
 
     def _recover_locked(self) -> int:
         """(lock held) The recovery fold shared by ``__init__`` and
-        :meth:`recover`."""
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
+        :meth:`recover`.  ``_revision`` collects the highest revision the
+        snapshot, the header and the tail carry."""
         self._reset_memory()
-        self._entries = 0
-        self._dead = 0
-        self._logged_slots = set()
-        revision = 0
-        if os.path.exists(self.snapshot_path):
-            revision = self._fold_snapshot_locked()
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            revision = max(revision, self._replay_log_locked())
-        else:
-            # Missing (or zero-byte, i.e. never-written) log: install a
-            # fresh header so the file is well-formed from byte one.
-            self._write_fresh_log(revision)
-        self._log_file = open(self.path, "a", encoding="utf-8")
-        self._closed = False
+        self._reset_tail()
+        header = self._log.recover(
+            self._fold_snapshot_locked,
+            self._fold_line_locked,
+            lambda: {"snapshot_revision": self._revision},
+        )
+        revision = max(self._revision, int(header.get("snapshot_revision", 0)))
         self._m_log_entries.set(self._entries)
         self._m_dead.set(self._dead)
         return self._finish_recovery(revision)
 
-    def _fold_snapshot_locked(self) -> int:
-        """(lock held) Fold the compaction snapshot; returns its revision."""
-        name = self.snapshot_path
-        with open(name, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise TuningDatabaseError(
-                    f"{name!r} is not a valid log snapshot (it is written "
-                    f"atomically, so this is corruption, not a crash): {exc}"
-                ) from exc
-        payload = _check_format(payload, name, kind="log-snapshot")
-        try:
-            for d in payload.get("records", []):
-                self._fold_recovered(TuningRecord.from_dict(d))
-        except Exception as exc:
-            raise TuningDatabaseError(
-                f"{name!r} holds malformed tuning records: {exc}"
-            ) from exc
-        return int(payload.get("revision", 0))
+    def _fold_snapshot_locked(self, payload: Dict[str, object]) -> None:
+        """(lock held) Fold the compaction snapshot's live set."""
+        for d in payload.get("records", []):
+            self._fold_recovered(TuningRecord.from_dict(d))
+        self._revision = int(payload.get("revision", 0))
 
-    def _replay_log_locked(self) -> int:
-        """(lock held) Replay the log tail; returns the highest revision
-        seen.  Tolerates exactly one undecodable trailing line (the
-        mid-append crash signature), truncating it away so the next append
-        starts on a clean line; anything else raises."""
-        name = self.path
-        with open(name, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        try:
-            header = json.loads(lines[0])
-        except ValueError as exc:
-            raise TuningDatabaseError(
-                f"{name!r} has an undecodable log header (the header is "
-                f"installed atomically, so this is not a crash artifact): {exc}"
-            ) from exc
-        _check_format(header, name, kind="log")
-        revision = int(header.get("snapshot_revision", 0))
-        for index, line in enumerate(lines[1:], start=2):
-            try:
-                entry = json.loads(line)
-                record = TuningRecord.from_dict(entry["record"])
-                rev = int(entry.get("rev", 0))
-            except Exception as exc:
-                if index == len(lines):
-                    # Truncated trailing line: the put that was in flight
-                    # when the process died.  Only that put is lost — drop
-                    # the partial line from the file so later appends do not
-                    # concatenate onto it (which would tear *them* too).
-                    keep = sum(len(kept.encode("utf-8")) for kept in lines[:-1])
-                    os.truncate(name, keep)
-                    break
-                raise TuningDatabaseError(
-                    f"{name!r} line {index} is undecodable but not the last "
-                    f"line; the log is corrupt, not merely truncated: {exc}"
-                ) from exc
-            slot = (record.key(), record.conditions())
-            self._entries += 1
-            if slot in self._logged_slots:
-                self._dead += 1
-            else:
-                self._logged_slots.add(slot)
-            self._fold_recovered(record)
-            revision = max(revision, rev)
-        return revision
+    def _fold_line_locked(self, entry: Dict[str, object]) -> None:
+        """(lock held) Replay one ``{"rev", "record"}`` log line."""
+        record = TuningRecord.from_dict(entry["record"])
+        rev = int(entry.get("rev", 0))
+        self._count_logged(record)
+        self._fold_recovered(record)
+        self._revision = max(self._revision, rev)
 
     def close(self) -> None:
         with self._lock:
-            if self._log_file is not None:
-                self._log_file.close()
-                self._log_file = None
-            self._closed = True
+            self._log.close()
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()
@@ -977,6 +1019,6 @@ class LogStore(RecordStore):
                 snapshot_path=self.snapshot_path,
                 log_entries=self._entries,
                 dead_entries=self._dead,
-                closed=self._closed,
+                closed=self._log.closed,
             )
         return info

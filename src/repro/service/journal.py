@@ -7,12 +7,13 @@ transition (``accepted -> running -> done(result) / failed(error)``) is one
 appended JSON line, so a SIGKILLed daemon reconstructs exactly which
 promises it made — and which results it already computed — on restart.
 
-The on-disk shape deliberately reuses the proven
-:class:`~repro.core.autotune.store.LogStore` idioms:
+The bytes and the crash model are
+:class:`~repro.core.autotune.store.DurableLog`'s, the primitive under
+:class:`~repro.core.autotune.store.LogStore` too:
 
 * ``path`` is an append-only JSON-lines log: an atomically-installed header
-  line ``{"format": 1, "kind": "journal", "snapshot_seq": S}`` followed by
-  one event per line, flushed per append (fsync'd when ``fsync_appends``).
+  line ``{"format": 1, "kind": "journal"}`` followed by one event per line,
+  flushed per append (fsync'd when ``fsync_appends``).
 * ``path + ".snap"`` is the compaction snapshot (``kind:
   "journal-snapshot"``, fsync'd, atomically replaced): the folded per-request
   state map, written by :meth:`RequestJournal.snapshot` (a drain hook) or
@@ -21,9 +22,8 @@ The on-disk shape deliberately reuses the proven
   snapshot did, so snapshots are spaced geometrically and the work they
   rewrite stays proportional to the events appended.
 * Recovery folds the snapshot, then replays the log tail through the same
-  monotonic fold, tolerating exactly one undecodable *trailing* line (the
-  mid-append crash signature, truncated away); an undecodable line anywhere
-  else is corruption and raises
+  monotonic fold; a crash mid-append loses only the event in flight, and
+  any other undecodable line raises
   :class:`~repro.core.autotune.store.TuningDatabaseError`.
 
 The fold is **monotonic and idempotent**: ``accepted < running < terminal``,
@@ -48,7 +48,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
 from typing import Dict, List, Optional, Union
 
@@ -56,9 +55,8 @@ from ..core.autotune.config import Configuration
 from ..core.autotune.session import TrialRecord, TuningResult
 from ..core.autotune.store import (
     FORMAT_VERSION,
+    DurableLog,
     TuningDatabaseError,
-    _atomic_write,
-    _check_format,
     _params_from_dict,
     _params_to_dict,
 )
@@ -248,11 +246,9 @@ class RequestJournal:
 
     Thread-safe; every mutation happens under ``self._lock``.  Appends are
     flushed per line (fsync'd when ``fsync_appends``), so the durability
-    unit against process death (SIGKILL) is one event line; snapshots are
-    always fsync'd before their atomic replace, so compaction can never
-    trade a recoverable log for an unrecoverable snapshot.  See the module
-    docstring for the on-disk shape and the crash-window analysis inherited
-    from ``LogStore._compact_locked``.
+    unit against process death (SIGKILL) is one event line.  See the module
+    docstring for the on-disk shape and
+    :class:`~repro.core.autotune.store.DurableLog` for the crash windows.
     """
 
     def __init__(
@@ -262,12 +258,11 @@ class RequestJournal:
         fsync_appends: bool = False,
         snapshot_min_entries: int = 4096,
     ) -> None:
-        self.path = os.fspath(path)
-        self.snapshot_path = self.path + ".snap"
-        self._fsync_appends = bool(fsync_appends)
+        self._log = DurableLog(path, "journal", fsync_appends)
+        self.path = self._log.path
+        self.snapshot_path = self._log.snapshot_path
         self._snapshot_min_entries = int(snapshot_min_entries)
         self._entries: Dict[str, JournalEntry] = {}
-        self._log_file = None
         self._lines = 0  # event lines in the log tail since the last snapshot
         self._snapshot_entries = 0  # entries the last snapshot held
         self._recoveries = 0
@@ -317,16 +312,13 @@ class RequestJournal:
         The line hits the OS (and, with ``fsync_appends``, the disk) before
         this returns — the caller may acknowledge the event as durable.
         """
-        if self._log_file is None:
+        if self._log.closed:
             raise TuningDatabaseError(
                 f"request journal {self.path!r} is closed; no further events"
             )
         if not self._apply_locked(event):
             return False
-        self._log_file.write(json.dumps(event, sort_keys=True) + "\n")
-        self._log_file.flush()
-        if self._fsync_appends:
-            os.fsync(self._log_file.fileno())
+        self._log.append(event)
         self._lines += 1
         if self._lines >= max(
             self._snapshot_min_entries, _LIFECYCLE_EVENTS * self._snapshot_entries
@@ -412,39 +404,23 @@ class RequestJournal:
                 "log_lines": self._lines,
                 "recoveries": self._recoveries,
                 "by_status": by_status,
-                "closed": self._log_file is None,
+                "closed": self._log.closed,
             }
 
-    # -- durability ------------------------------------------------------ #
+    # -- durability (the crash model is DurableLog's) --------------------- #
     def snapshot(self) -> str:
         """Compact now: fsync'd snapshot of the folded state + log reset.
 
         The drain hook — a journal snapshotted at drain time replays zero
         tail lines on the next start."""
         with self._lock:
-            if self._log_file is None:
-                raise TuningDatabaseError(
-                    f"request journal {self.path!r} is closed; cannot snapshot"
-                )
             self._snapshot_locked()
             return self.snapshot_path
 
     def _snapshot_locked(self) -> None:
-        """(lock held) Snapshot the folded state, then reset the log.
-
-        Same crash-window story as ``LogStore._compact_locked``: a death
-        before the snapshot's atomic replace leaves old snapshot + full old
-        log; between replace and reset leaves new snapshot + old log, whose
-        replay is pure over-delivery (the fold is idempotent); a failed
-        reset reopens the old log and keeps appending to it."""
-        _atomic_write(self.snapshot_path, self._write_snapshot_locked, fsync=True)
+        """(lock held) Snapshot the folded state, then reset the log."""
+        self._log.compact(self._write_snapshot_locked, {})
         self._snapshot_entries = len(self._entries)
-        self._log_file.close()
-        self._log_file = None
-        try:
-            self._write_fresh_log_locked()
-        finally:
-            self._log_file = open(self.path, "a", encoding="utf-8")
         self._lines = 0
 
     def _write_snapshot_locked(self, fh) -> None:
@@ -463,28 +439,6 @@ class RequestJournal:
             f'], "format": {FORMAT_VERSION}, "kind": "journal-snapshot"}}'
         )
 
-    def _write_fresh_log_locked(self) -> None:
-        """(lock held) Atomically install a header-only log file, so a
-        half-written header can never exist on disk."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                header = {"format": FORMAT_VERSION, "kind": "journal"}
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
     # -- recovery -------------------------------------------------------- #
     def recover(self) -> int:
         """Rebuild the folded state from snapshot + log tail; returns the
@@ -496,103 +450,36 @@ class RequestJournal:
     def _recover_locked(self) -> int:
         """(lock held) The recovery fold shared by ``__init__`` and
         :meth:`recover`."""
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
         self._entries = {}
         self._lines = 0
         self._snapshot_entries = 0
-        if os.path.exists(self.snapshot_path):
-            self._fold_snapshot_locked()
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            self._replay_log_locked()
-        else:
-            # Missing (or zero-byte, i.e. never-written) log: install a
-            # fresh header so the file is well-formed from byte one.
-            self._write_fresh_log_locked()
-        self._log_file = open(self.path, "a", encoding="utf-8")
+        self._log.recover(self._fold_snapshot_locked, self._fold_line_locked, dict)
         self._recoveries += 1
         return len(self._entries)
 
-    def _fold_snapshot_locked(self) -> None:
-        """(lock held) Fold the compaction snapshot's folded entries."""
-        name = self.snapshot_path
-        with open(name, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise TuningDatabaseError(
-                    f"{name!r} is not a valid journal snapshot (it is written "
-                    f"atomically, so this is corruption, not a crash): {exc}"
-                ) from exc
-        payload = _check_format(payload, name, kind="journal-snapshot")
-        self._snapshot_entries = len(payload.get("entries", []))
-        try:
-            for d in payload.get("entries", []):
-                entry = JournalEntry.from_dict(d)
-                # First fold wins on terminal states — identical monotonic
-                # story to event replay, so snapshot + over-delivered tail
-                # converge on the same map.
-                if entry.rid not in self._entries:
-                    self._entries[entry.rid] = entry
-        except TuningDatabaseError:
-            raise
-        except Exception as exc:
-            raise TuningDatabaseError(
-                f"{name!r} holds malformed journal entries: {exc}"
-            ) from exc
+    def _fold_snapshot_locked(self, payload: Dict[str, object]) -> None:
+        """(lock held) Fold the compaction snapshot's folded entries.
 
-    def _replay_log_locked(self) -> None:
-        """(lock held) Replay the log tail through the monotonic fold.
+        First fold wins on terminal states — the same monotonic story as
+        event replay, so snapshot + over-delivered tail converge on the
+        same map."""
+        entries = payload.get("entries", [])
+        self._snapshot_entries = len(entries)
+        for d in entries:
+            entry = JournalEntry.from_dict(d)
+            if entry.rid not in self._entries:
+                self._entries[entry.rid] = entry
 
-        Tolerates exactly one undecodable trailing line (the mid-append
-        crash signature), truncating it away so the next append starts on a
-        clean line; anything else raises."""
-        name = self.path
-        with open(name, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        try:
-            header = json.loads(lines[0])
-        except ValueError as exc:
-            raise TuningDatabaseError(
-                f"{name!r} has an undecodable journal header (the header is "
-                f"installed atomically, so this is not a crash artifact): {exc}"
-            ) from exc
-        _check_format(header, name, kind="journal")
-        for index, line in enumerate(lines[1:], start=2):
-            try:
-                event = json.loads(line)
-                if not isinstance(event, dict):
-                    # Eligible for torn-tail tolerance below: a truncated
-                    # line can decode to a bare JSON scalar.
-                    raise ValueError(
-                        f"journal event is {type(event).__name__}, expected object"
-                    )
-                self._apply_locked(event)
-            except TuningDatabaseError:
-                raise
-            except Exception as exc:
-                if index == len(lines):
-                    # Truncated trailing line: the event that was in flight
-                    # when the process died.  Only that event is lost — drop
-                    # the partial line so later appends do not concatenate
-                    # onto it (which would tear *them* too).
-                    keep = sum(len(kept.encode("utf-8")) for kept in lines[:-1])
-                    os.truncate(name, keep)
-                    break
-                raise TuningDatabaseError(
-                    f"{name!r} line {index} is undecodable but not the last "
-                    f"line; the journal is corrupt, not merely truncated: {exc}"
-                ) from exc
-            self._lines += 1
+    def _fold_line_locked(self, event: Dict[str, object]) -> None:
+        """(lock held) Replay one event line through the monotonic fold."""
+        self._apply_locked(event)
+        self._lines += 1
 
     def close(self) -> None:
         """Release the log handle without snapshotting (idempotent).
 
-        Deliberately *not* a flush point beyond the per-append flush: a
-        closed-then-reopened journal and a SIGKILLed-then-reopened journal
-        recover identically, which is what the crash tests rely on."""
+        A closed-then-reopened journal and a SIGKILLed-then-reopened
+        journal recover identically, which is what the crash tests rely
+        on."""
         with self._lock:
-            if self._log_file is not None:
-                self._log_file.close()
-                self._log_file = None
+            self._log.close()

@@ -76,18 +76,22 @@ tickets re-run in an in-parent runner against the shared database, so
 records the worker streamed or persisted before failing are served, not
 re-tuned; the failure is counted in :attr:`TuningWorkerPool.stats`.
 Liveness is judged by process death, never by silence: a healthy worker may
-spend arbitrarily long on one round.  Malformed sync payloads and corrupted
-results-queue messages ("poisoned envelopes") are dropped and counted, never
-applied.  When no worker processes can be created at all — restricted
-sandboxes, missing semaphores — the pool degrades to a deterministic
-in-process interleaving of the shards with the same semantics, producing
-the same results.
+spend arbitrarily long on one round.  Each worker reports over its own
+pipe, whose only write end the worker holds, so end-of-file on that pipe
+(with or without a frame cut short) *is* the worker's death, and a worker
+killed mid-report cannot stall any other worker's reports.  Malformed sync
+payloads and corrupted report messages ("poisoned envelopes") are dropped
+and counted, never applied.  When no worker processes can be created at
+all — restricted sandboxes, missing semaphores — the pool degrades to a
+deterministic in-process interleaving of the shards with the same
+semantics, producing the same results.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue
 import time
@@ -119,15 +123,12 @@ from .scheduler import ServiceStats, TuningService
 
 __all__ = ["PoolStats", "TuningWorkerPool"]
 
-#: parent's bounded wait on the results queue while stop() waits for the
+#: parent's bounded wait on the results pipes while stop() waits for the
 #: workers' final reports (pacing only: never a liveness deadline).
 _POLL_SECONDS = 0.2
-#: empty polls after noticing a dead worker before declaring its shard lost
-#: (a worker may exit healthily with its final message still in the pipe).
-_DEATH_GRACE_POLLS = 3
 #: serving worker's idle pacing between loop iterations (pacing only).
 _SERVE_IDLE_SLEEP = 0.005
-#: serving parent's bounded wait on the results queue when a step would
+#: serving parent's bounded wait on the results pipes when a step would
 #: otherwise report no progress while workers still owe completions — keeps
 #: a drain loop above (the daemon's run_until_idle) paced instead of hot.
 _SERVE_PARENT_WAIT = 0.005
@@ -363,7 +364,7 @@ def _serve_shard(
     admit_window: int,
     submit_queue,
     sync_queue,
-    results_queue,
+    results,
     obs_enabled: bool = False,
     store_path: Optional[str] = None,
     streaming: bool = True,
@@ -373,7 +374,8 @@ def _serve_shard(
 
     The backlog arrives over ``submit_queue`` as ``("submit", ticket,
     request)`` messages, and every settled ticket is reported individually
-    as ``("done_one", shard, ticket, outcome)`` where ``outcome`` is
+    down the worker's ``results`` pipe as ``("done_one", shard, ticket,
+    outcome)`` where ``outcome`` is
     ``("ok", result)`` or ``("err", error_wire)`` — typed errors travel as
     their wire dicts so the parent re-raises the same class.  A streaming
     worker injects the records arriving on ``sync_queue`` between rounds and
@@ -440,7 +442,7 @@ def _serve_shard(
                     origin=shard_index,
                     revision=runner.service.database.revision,
                 )
-                results_queue.put(("record", shard_index, envelope.to_wire()))
+                results.send(("record", shard_index, envelope.to_wire()))
             for ticket, future in list(runner.futures.items()):
                 if not future.done():
                     continue
@@ -453,13 +455,13 @@ def _serve_shard(
                     outcome = ("err", RequestFailed(str(exc)).to_wire())
                 else:
                     outcome = ("ok", result)
-                results_queue.put(("done_one", shard_index, ticket, outcome))
+                results.send(("done_one", shard_index, ticket, outcome))
             if stopping and not progressed:
                 break
             if not progressed and not submits:
                 # Pacing while idle, not a timing source.
                 time.sleep(_SERVE_IDLE_SLEEP)
-        results_queue.put(
+        results.send(
             (
                 "bye",
                 shard_index,
@@ -475,7 +477,7 @@ def _serve_shard(
         )
     except BaseException as exc:  # pragma: no cover - exercised via kill tests
         try:
-            results_queue.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
+            results.send(("error", shard_index, f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass
     else:
@@ -581,8 +583,8 @@ class TuningWorkerPool:
         self._serve_workers: Dict[int, object] = {}
         self._serve_submit_queues: Dict[int, object] = {}
         self._serve_sync_queues: Dict[int, object] = {}
-        self._serve_results_queue = None
-        self._serve_dead_polls: Dict[int, int] = {}
+        #: read end of each process shard's results pipe.
+        self._serve_readers: Dict[int, object] = {}
         self._serve_byes: Dict[int, bool] = {}
         self._reset_accounting(streaming=False)
 
@@ -862,13 +864,18 @@ class TuningWorkerPool:
         self._stats_mode = "processes" if self.used_processes else "serial"
 
     def _start_processes(self, batch: bool) -> None:
+        """Start one worker per shard, each with its own results pipe.  The
+        parent closes its copy of a pipe's write end as soon as the worker
+        holds it (and before the next worker is forked), so that worker is
+        the pipe's only writer: its death reads as end-of-file."""
         ctx = self._context()
-        self._serve_results_queue = ctx.Queue()
         for i in range(self._serve_shards):
             self._serve_submit_queues[i] = ctx.Queue()
             self._serve_sync_queues[i] = ctx.Queue()
         try:
             for i in range(self._serve_shards):
+                reader, writer = ctx.Pipe(duplex=False)
+                self._serve_readers[i] = reader
                 process = ctx.Process(
                     target=_serve_shard,
                     args=(
@@ -877,7 +884,7 @@ class TuningWorkerPool:
                         self._admit_window,
                         self._serve_submit_queues[i],
                         self._serve_sync_queues[i],
-                        self._serve_results_queue,
+                        writer,
                         self.obs.enabled,
                         self._shard_store_path(i),
                         self.streaming,
@@ -885,7 +892,10 @@ class TuningWorkerPool:
                     ),
                     daemon=True,
                 )
-                process.start()
+                try:
+                    process.start()
+                finally:
+                    writer.close()
                 self._o_workers_started.inc()
                 self._serve_workers[i] = process
         except BaseException:
@@ -937,7 +947,7 @@ class TuningWorkerPool:
         """Pump the serving fleet one round; True while work is in flight.
 
         When process workers still owe completions and nothing else
-        progressed, blocks briefly on the results queue
+        progressed, blocks briefly on their results pipes
         (``_SERVE_PARENT_WAIT``) so a drain loop above polls paced instead
         of hot.
         """
@@ -954,35 +964,47 @@ class TuningWorkerPool:
         """One fleet round, shared by :meth:`step` and :meth:`stop`; True
         when anything progressed.
 
-        Drains the results queue (records, per-ticket completions, final
-        reports, failing dead workers over), advances every in-parent runner
-        one scheduling round with the exchange between them, and — when
+        Handles what the workers reported (records, per-ticket completions,
+        final reports, deaths), advances every in-parent runner one
+        scheduling round with the exchange between them, and — when
         nothing progressed but process workers still owe reports — waits up
         to ``wait`` seconds for the next one.
         """
-        results = self._serve_results_queue
-        messages = _drain(results) if results is not None else []
-        progressed = False
-        for message in messages:
-            progressed = self._handle_message(message) or progressed
+        progressed = self._receive(0.0)
         progressed = self._advance_runners() or progressed
         if not progressed and wait > 0 and self._outstanding():
-            try:
-                messages = [results.get(timeout=wait)]
-            except queue.Empty:
-                pass
-            except Exception:
-                # A worker SIGKILLed mid-put can leave a truncated pickle
-                # frame in the shared pipe; get() then raises instead of
-                # Empty.  Same failure class as a poisoned envelope: count
-                # it, keep checking liveness (the sender will be noticed
-                # dead), and pace — a wedged pipe raises immediately.
-                self._c_poisoned.inc()
-                time.sleep(wait)
-            else:
-                progressed = self._handle_message(messages[0])
-        if results is not None and not messages:
-            progressed = self._note_serving_deaths() or progressed
+            progressed = self._receive(wait)
+        return progressed
+
+    def _receive(self, timeout: float) -> bool:
+        """Handle every message waiting on the outstanding workers' results
+        pipes, waiting up to ``timeout`` seconds for the first; True when
+        one progressed.
+
+        End-of-file on a pipe — after a whole frame or inside one — means
+        its worker is gone without a ``bye``, and fails its shard over.  A
+        whole frame that does not deserialize is dropped and counted like a
+        poisoned envelope.
+        """
+        readers = {self._serve_readers[s]: s for s in self._outstanding()}
+        if not readers:
+            return False
+        progressed = False
+        for reader in multiprocessing.connection.wait(list(readers), timeout):
+            shard = readers[reader]
+            while shard in self._outstanding():
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    self._failover_serving_shard(shard)
+                    progressed = True
+                    break
+                except Exception:
+                    self._c_poisoned.inc()
+                else:
+                    progressed = self._handle_message(message) or progressed
+                if not reader.poll():
+                    break
         return progressed
 
     def _advance_runners(self) -> bool:
@@ -1014,8 +1036,8 @@ class TuningWorkerPool:
         return progressed
 
     def _handle_message(self, message: object) -> bool:
-        """Validate and dispatch one results-queue message; True when it
-        settled a ticket or advanced the exchange.
+        """Validate and dispatch one worker report; True when it settled a
+        ticket or advanced the exchange.
 
         A corrupted message is the same failure class as a poisoned
         envelope: dropped and counted, never allowed to crash the parent.
@@ -1150,20 +1172,6 @@ class TuningWorkerPool:
             self._c_poisoned.inc()
         self._c_poisoned.inc(payload["poisoned"])
         return True
-
-    def _note_serving_deaths(self) -> bool:
-        """Failover check: a worker gone without a ``bye`` (after the grace
-        polls that let a final message finish travelling the pipe) degrades
-        its shard to an in-parent runner.  True when one failed over."""
-        failed_over = False
-        for shard in self._outstanding():
-            if self._serve_workers[shard].is_alive():
-                continue
-            self._serve_dead_polls[shard] = self._serve_dead_polls.get(shard, 0) + 1
-            if self._serve_dead_polls[shard] >= _DEATH_GRACE_POLLS:
-                self._failover_serving_shard(shard)
-                failed_over = True
-        return failed_over
 
     def _failover_serving_shard(self, shard: int) -> None:
         """A worker failed: salvage its durable log into the exchange, then
@@ -1314,24 +1322,23 @@ class TuningWorkerPool:
         self._serve_runners.clear()
         self._serve_inboxes.clear()
         self._serve_workers.clear()
-        self._serve_dead_polls.clear()
         self._serve_byes.clear()
         self._serving = False
 
     def _close_serve_queues(self) -> None:
         queues = list(self._serve_submit_queues.values())
         queues.extend(self._serve_sync_queues.values())
-        if self._serve_results_queue is not None:
-            queues.append(self._serve_results_queue)
         for q in queues:
             try:
                 q.close()
                 q.cancel_join_thread()
             except Exception:  # pragma: no cover - defensive
                 pass
+        for reader in self._serve_readers.values():
+            reader.close()
         self._serve_submit_queues = {}
         self._serve_sync_queues = {}
-        self._serve_results_queue = None
+        self._serve_readers = {}
 
     def describe(self) -> Dict[str, object]:
         """JSON-native status snapshot (folded into the daemon's

@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import random
 import signal
+import struct
 import threading
 import time
 
@@ -313,6 +314,55 @@ class TestFaultInjection:
         path = tmp_path / "after-kill.json"
         db.save(path)
         assert len(TuningDatabase.load(path)) == 3
+
+    def test_worker_killed_mid_report_never_stalls_the_pool(self, monkeypatch):
+        # Shard 0 dies inside a report: a frame header promising more bytes
+        # than follow, then SIGKILL.  The other worker's reports must keep
+        # flowing and the parent must fail shard 0 over instead of waiting
+        # forever; tune() runs in a thread so a hang fails the test.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("worker-kill fault injection needs fork")
+        original_serve_shard = pool_module._serve_shard
+
+        class DiesMidFrame:
+            def __init__(self, results):
+                self._results = results
+
+            def send(self, message):
+                if message[0] == "done_one":
+                    partial = struct.pack("!i", 1 << 16) + b"\x80\x04partial"
+                    os.write(self._results.fileno(), partial)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                self._results.send(message)
+
+        def lethal_serve_shard(shard, policy, window, submits, syncs, results, *rest):
+            if shard == 0:
+                results = DiesMidFrame(results)
+            original_serve_shard(shard, policy, window, submits, syncs, results, *rest)
+
+        monkeypatch.setattr(pool_module, "_serve_shard", lethal_serve_shard)
+        workload = [
+            _request(params, seed=seed, budget=8, pruned=False)
+            for params, seed in ((A, 1), (B, 1), (C, 1), (D, 1), (A, 2), (B, 2))
+        ]
+        pool = TuningWorkerPool(num_workers=2, start_method="fork", use_processes=True)
+        outcome = {}
+
+        def run():
+            try:
+                outcome["results"] = pool.tune(workload)
+            except BaseException as exc:  # pragma: no cover - failure path
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "tune() hung after a worker died mid-report"
+        assert "error" not in outcome, outcome.get("error")
+        assert pool.used_processes
+        assert pool.stats.worker_failures == 1
+        for request, result in zip(workload, outcome["results"]):
+            assert _trajectory(result) == _trajectory(request.tune_direct())
 
     def test_poisoned_outgoing_envelopes_are_dropped_not_applied(self, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():

@@ -23,6 +23,7 @@ import statistics
 import numpy as np
 import pytest
 
+from explorer_oracle import ScalarRandomWalkExplorer
 from repro.conv import ConvParams
 from repro.core.autotune import (
     AutoTuningEngine,
@@ -32,7 +33,6 @@ from repro.core.autotune import (
     Measurer,
     ParallelRandomWalkExplorer,
     RegressionTree,
-    ScalarRandomWalkExplorer,
     SearchSpace,
     feature_matrix,
     feature_vector,
